@@ -444,10 +444,8 @@ OracleResult CheckMergeLaws(const std::vector<std::vector<Word>>& shards,
 OracleResult CheckIngestionEquivalence(
     const std::vector<std::string>& documents,
     const InferenceOptions& options, int jobs) {
-  // DOM path.
-  InferenceOptions dom_options = options;
-  dom_options.streaming_ingest = false;
-  DtdInferrer dom(dom_options);
+  // DOM path: the reference fold.
+  DtdInferrer dom(options);
   for (const std::string& doc : documents) {
     Status st = dom.AddXml(doc);
     if (!st.ok()) {
@@ -505,46 +503,41 @@ OracleResult CheckIngestionEquivalence(
 
 namespace {
 
-/// One streaming run for CheckDedupCacheEquivalence: folds `documents`,
-/// interleaving each `broken` document after its clean counterpart (the
-/// parse failure must roll back without a trace), then returns the
-/// inferred DTD and SaveState text.
+/// One streaming run for CheckDedupCacheEquivalence: folds `documents`
+/// (with or without the dedup cache), interleaving each `broken`
+/// document after its clean counterpart (the parse failure must roll
+/// back without a trace), then returns the inferred DTD and SaveState
+/// text.
 OracleResult RunDedupPath(const std::vector<std::string>& documents,
                           const std::vector<std::string>& broken,
-                          const InferenceOptions& options, bool legacy,
+                          const InferenceOptions& options, bool dedup,
                           std::string* dtd_text, std::string* state_text) {
-  const char* label = legacy ? "legacy" : "flat";
+  const char* label = dedup ? "flat-cache" : "no-dedup";
   DtdInferrer inferrer(options);
   {
     StreamingFolder::Options folder_options;
-    folder_options.legacy_dedup_cache = legacy;
-    folder_options.ignore_dedup_env = true;
+    folder_options.dedup_words = dedup;
     StreamingFolder folder(&inferrer, folder_options);
     for (size_t d = 0; d < documents.size(); ++d) {
       Status st = folder.AddXml(documents[d]);
       if (!st.ok()) {
         return OracleResult::Fail(std::string(label) +
-                                  "-cache ingestion failed: " +
-                                  st.ToString());
+                                  " ingestion failed: " + st.ToString());
       }
       if (d < broken.size() && !broken[d].empty()) {
         Status broken_status = folder.AddXml(broken[d]);
         if (broken_status.ok()) {
           return OracleResult::Fail(std::string(label) +
-                                    "-cache path accepted a broken "
-                                    "document meant to test rollback");
+                                    " path accepted a broken document "
+                                    "meant to test rollback");
         }
       }
-    }
-    if (folder.using_legacy_cache() != legacy) {
-      return OracleResult::Fail(
-          "folder cache selection ignored Options::legacy_dedup_cache");
     }
   }
   Result<Dtd> dtd = inferrer.InferDtd();
   if (!dtd.ok()) {
-    return OracleResult::Fail(std::string(label) + "-cache inference "
-                              "failed: " + dtd.status().ToString());
+    return OracleResult::Fail(std::string(label) + " inference failed: " +
+                              dtd.status().ToString());
   }
   *dtd_text = WriteDtd(dtd.value(), *inferrer.alphabet());
   *state_text = inferrer.SaveState();
@@ -557,32 +550,35 @@ OracleResult CheckDedupCacheEquivalence(
     const std::vector<std::string>& documents,
     const std::vector<std::string>& broken_documents,
     const InferenceOptions& options) {
+  // The eager no-dedup fold is not transactional (a rejected document
+  // may leave completed elements behind), so it sees the clean
+  // documents only.
   std::string flat_dtd, flat_state;
-  OracleResult run = RunDedupPath(documents, broken_documents, options,
-                                  /*legacy=*/false, &flat_dtd, &flat_state);
+  OracleResult run = RunDedupPath(documents, {}, options, /*dedup=*/true,
+                                  &flat_dtd, &flat_state);
   if (!run.passed) return run;
-  std::string legacy_dtd, legacy_state;
-  run = RunDedupPath(documents, broken_documents, options, /*legacy=*/true,
-                     &legacy_dtd, &legacy_state);
+  std::string eager_dtd, eager_state;
+  run = RunDedupPath(documents, {}, options, /*dedup=*/false, &eager_dtd,
+                     &eager_state);
   if (!run.passed) return run;
-  if (flat_dtd != legacy_dtd) {
-    return OracleResult::Fail("flat-cache DTD differs from legacy-cache "
-                              "DTD:\n" + flat_dtd + "vs\n" + legacy_dtd);
+  if (flat_dtd != eager_dtd) {
+    return OracleResult::Fail("flat-cache DTD differs from no-dedup DTD:\n" +
+                              flat_dtd + "vs\n" + eager_dtd);
   }
-  if (flat_state != legacy_state) {
+  if (flat_state != eager_state) {
     return OracleResult::Fail(
-        "flat-cache SaveState differs from legacy-cache SaveState (DTDs "
+        "flat-cache SaveState differs from no-dedup SaveState (DTDs "
         "agree — the divergence is in SOA state order, supports, or "
         "retained samples)");
   }
-  // Rollback leaves no residue: the same clean documents without the
-  // broken interleavings must reach the identical state.
+  // Rollback leaves no residue: the same clean documents with the broken
+  // ones interleaved must reach the identical state.
   if (!broken_documents.empty()) {
-    std::string clean_dtd, clean_state;
-    run = RunDedupPath(documents, {}, options, /*legacy=*/false,
-                       &clean_dtd, &clean_state);
+    std::string broken_dtd, broken_state;
+    run = RunDedupPath(documents, broken_documents, options,
+                       /*dedup=*/true, &broken_dtd, &broken_state);
     if (!run.passed) return run;
-    if (clean_state != flat_state) {
+    if (broken_state != flat_state) {
       return OracleResult::Fail(
           "rejected documents perturbed the flat-cache state: a run "
           "with broken documents interleaved differs from the "

@@ -108,19 +108,21 @@ OracleResult CheckIngestionEquivalence(
     const std::vector<std::string>& documents,
     const InferenceOptions& options, int jobs);
 
-/// Dedup-cache equivalence: the flat open-addressing word cache and the
-/// legacy `std::unordered_map` oracle it replaced must produce
+/// Dedup-cache equivalence: the streaming fold through the flat
+/// open-addressing word cache and the eager no-dedup fold
+/// (`StreamingFolder::Options::dedup_words = false`) must produce
 /// byte-identical DTDs AND byte-identical SaveState text (the stronger
 /// check — SaveState exposes SOA state order, supports, and every
-/// retained sample). `broken_documents` runs parallel to `documents`
-/// (empty entries are skipped): entry d is interleaved after clean
-/// document d and must be rejected by both paths without perturbing the
-/// result (rollback transactionality of the word journal). For the
-/// byte-level no-residue check to hold, each broken entry must be a
-/// truncation of its clean document — a rolled-back NOVEL word leaves a
-/// zero-count entry whose position shifts the flush order (the DTD is
-/// unaffected, SaveState is not), and a truncation completes only words
-/// its own clean document completes first.
+/// retained sample) over the clean `documents`. `broken_documents` runs
+/// parallel to `documents` (empty entries are skipped): entry d is
+/// interleaved after clean document d in a second flat-cache run and
+/// must be rejected without perturbing the result (rollback
+/// transactionality of the word journal). For the byte-level no-residue
+/// check to hold, each broken entry must be a truncation of its clean
+/// document — a rolled-back NOVEL word leaves a zero-count entry whose
+/// position shifts the flush order (the DTD is unaffected, SaveState is
+/// not), and a truncation completes only words its own clean document
+/// completes first.
 OracleResult CheckDedupCacheEquivalence(
     const std::vector<std::string>& documents,
     const std::vector<std::string>& broken_documents,

@@ -91,10 +91,10 @@ std::vector<PropertyFailure> RunIngestionProperty(
 std::vector<PropertyFailure> RunRoundTripProperty(
     const PropertyOptions& options);
 
-/// Dedup-cache property: random document sets, with truncated (broken)
-/// variants interleaved, must fold to byte-identical DTDs and SaveState
-/// text through the flat word cache and the legacy map oracle, and the
-/// rejected documents must leave no residue
+/// Dedup-cache property: random document sets must fold to
+/// byte-identical DTDs and SaveState text through the flat word cache
+/// and the eager no-dedup fold, and truncated (broken) variants
+/// interleaved into a flat-cache run must leave no residue
 /// (CheckDedupCacheEquivalence).
 std::vector<PropertyFailure> RunDedupCacheProperty(
     const PropertyOptions& options);

@@ -10,14 +10,8 @@ namespace condtd {
 
 namespace {
 
-// Same resolution DtdInferrer applies: the learner name wins over the
-// legacy enum, and the selected learner's capabilities size the
+// Same as DtdInferrer: the selected learner's capabilities size the
 // summaries' retention.
-std::string_view ResolvedLearnerName(const InferenceOptions& options) {
-  return options.learner.empty() ? LearnerNameOf(options.algorithm)
-                                 : std::string_view(options.learner);
-}
-
 LearnOptions MakeLearnOptions(const InferenceOptions& options) {
   LearnOptions out;
   out.noise_symbol_threshold = options.noise_symbol_threshold;
@@ -43,7 +37,7 @@ SummaryLimits MakeLimits(const InferenceOptions& options,
 ContextualInferrer::ContextualInferrer(InferenceOptions options)
     : options_(std::move(options)),
       learn_options_(MakeLearnOptions(options_)),
-      learner_(LearnerRegistry::Global().Find(ResolvedLearnerName(options_))),
+      learner_(LearnerRegistry::Global().Find(options_.learner)),
       limits_(MakeLimits(options_, learner_)) {}
 
 ElementSummary& ContextualInferrer::Prepare(ElementSummary& summary) const {
@@ -121,7 +115,7 @@ Result<ContentModel> ContextualInferrer::InferContext(
   }
   if (learner_ == nullptr) {
     return Status::InvalidArgument(
-        "unknown learner '" + std::string(ResolvedLearnerName(options_)) +
+        "unknown learner '" + options_.learner +
         "' (registered: " + LearnerRegistry::Global().NamesForDisplay(", ") +
         ")");
   }

@@ -1,6 +1,5 @@
 #include "infer/engine.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace condtd {
@@ -11,15 +10,12 @@ IngestEngine::IngestEngine(Options options) : options_(std::move(options)) {
     parallel_->set_input_options(options_.input);
   } else {
     sequential_.emplace(options_.inference);
-    if (options_.inference.streaming_ingest) {
-      folder_.emplace(&*sequential_);
-    }
   }
 }
 
 Status IngestEngine::LoadState(std::string_view state) {
   if (parallel_) return parallel_->LoadState(state);
-  return sequential_->LoadState(state);
+  return sequential_->inferrer.LoadState(state);
 }
 
 void IngestEngine::AddFile(const std::string& path) {
@@ -33,8 +29,7 @@ void IngestEngine::AddFile(const std::string& path) {
     errors_.push_back({index, content.status()});
     return;
   }
-  Status status = folder_ ? folder_->AddXml(content->view())
-                          : sequential_->AddXml(content->view());
+  Status status = sequential_->folder.AddXml(content->view());
   if (!status.ok()) errors_.push_back({index, status});
 }
 
@@ -44,8 +39,7 @@ void IngestEngine::AddXml(std::string_view xml) {
     parallel_->AddXml(xml);
     return;
   }
-  Status status = folder_ ? folder_->AddXml(xml)
-                          : sequential_->AddXml(xml);
+  Status status = sequential_->folder.AddXml(xml);
   if (!status.ok()) errors_.push_back({index, status});
 }
 
@@ -55,24 +49,15 @@ Status IngestEngine::Finish() {
     if (parallel_) {
       parallel_->Finish();
       errors_ = parallel_->errors();
-    } else if (folder_) {
-      folder_->Flush();
+    } else {
+      sequential_->folder.Flush();
     }
   }
-  if (errors_.empty()) return Status::OK();
-  if (errors_.size() == 1) return errors_.front().status;
-  // Several failures: aggregate under the first failure's code, naming
-  // the count and the lowest failed index (the full list is errors()).
-  const DocumentError& first = errors_.front();
-  return Status(first.status.code(),
-                std::to_string(errors_.size()) +
-                    " documents failed to ingest (first: document " +
-                    std::to_string(first.doc_index) + ": " +
-                    first.status.message() + ")");
+  return ParallelDtdInferrer::AggregateErrors(errors_);
 }
 
 DtdInferrer& IngestEngine::inferrer() {
-  return parallel_ ? *parallel_->merged() : *sequential_;
+  return parallel_ ? *parallel_->merged() : sequential_->inferrer;
 }
 
 int IngestEngine::infer_threads() const {

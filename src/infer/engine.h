@@ -19,12 +19,12 @@ namespace condtd {
 /// the CLI's `infer` subcommand and the serve daemon's journal replay
 /// both feed documents through this class instead of hand-rolling the
 /// sequential-vs-sharded split. At `jobs == 1` documents fold through a
-/// sequential DtdInferrer + StreamingFolder (or the DOM path when
-/// streaming is disabled); at any other value they route through
-/// ParallelDtdInferrer's work-stealing batch scheduler. The inferred
-/// DTD — and the SaveState text — is byte-identical either way (the
-/// determinism contract pinned by parallel_test/differential_test), so
-/// callers pick `jobs` purely on throughput.
+/// sequential DtdInferrer + StreamingFolder; at any other value they
+/// route through ParallelDtdInferrer's work-stealing batch scheduler.
+/// The inferred DTD — and the SaveState text — is byte-identical
+/// either way (the determinism contract pinned by
+/// parallel_test/differential_test), so callers pick `jobs` purely on
+/// throughput.
 ///
 /// Error model (both modes): per-document failures never stop the
 /// pipeline; they are recorded against the document's 0-based
@@ -79,10 +79,17 @@ class IngestEngine {
   int64_t documents_added() const { return next_doc_index_; }
 
  private:
+  /// The `jobs == 1` pipeline: one inferrer and its streaming fold.
+  struct Sequential {
+    explicit Sequential(const InferenceOptions& options)
+        : inferrer(options), folder(&inferrer) {}
+    DtdInferrer inferrer;
+    StreamingFolder folder;
+  };
+
   Options options_;
   std::optional<ParallelDtdInferrer> parallel_;
-  std::optional<DtdInferrer> sequential_;
-  std::optional<StreamingFolder> folder_;
+  std::optional<Sequential> sequential_;
   std::vector<DocumentError> errors_;
   int64_t next_doc_index_ = 0;
   bool finished_ = false;

@@ -17,11 +17,6 @@ namespace condtd {
 
 namespace {
 
-std::string_view ResolvedLearnerName(const InferenceOptions& options) {
-  return options.learner.empty() ? LearnerNameOf(options.algorithm)
-                                 : std::string_view(options.learner);
-}
-
 LearnOptions MakeLearnOptions(const InferenceOptions& options) {
   LearnOptions out;
   out.noise_symbol_threshold = options.noise_symbol_threshold;
@@ -47,24 +42,10 @@ SummaryLimits MakeLimits(const InferenceOptions& options,
 
 }  // namespace
 
-std::string_view LearnerNameOf(InferenceAlgorithm algorithm) {
-  switch (algorithm) {
-    case InferenceAlgorithm::kAuto:
-      return "auto";
-    case InferenceAlgorithm::kIdtd:
-      return "idtd";
-    case InferenceAlgorithm::kCrx:
-      return "crx";
-    case InferenceAlgorithm::kRewriteOnly:
-      return "rewrite";
-  }
-  return "auto";
-}
-
 DtdInferrer::DtdInferrer(InferenceOptions options)
     : options_(std::move(options)),
       learn_options_(MakeLearnOptions(options_)),
-      learner_(LearnerRegistry::Global().Find(ResolvedLearnerName(options_))),
+      learner_(LearnerRegistry::Global().Find(options_.learner)),
       store_(MakeLimits(options_, learner_)) {}
 
 Status DtdInferrer::AddXml(std::string_view xml) {
@@ -177,7 +158,7 @@ std::vector<Symbol> DtdInferrer::Elements() const {
 Result<ReRef> DtdInferrer::LearnRegex(const ElementSummary& summary) const {
   if (learner_ == nullptr) {
     return Status::InvalidArgument(
-        "unknown learner '" + std::string(ResolvedLearnerName(options_)) +
+        "unknown learner '" + options_.learner +
         "' (registered: " +
         LearnerRegistry::Global().NamesForDisplay(", ") + ")");
   }

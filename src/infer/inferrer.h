@@ -16,33 +16,15 @@
 
 namespace condtd {
 
-/// Legacy spelling of the built-in learner choice, kept for source
-/// compatibility: each value is a thin alias for a LearnerRegistry name
-/// (see LearnerNameOf). New code — and any learner beyond these four,
-/// like the Section 8 baselines "trang" and "xtract" — selects by name
-/// via InferenceOptions::learner.
-enum class InferenceAlgorithm {
-  /// The paper's two-regime recommendation: iDTD when the element has
-  /// plenty of data (specialization), CRX when data is sparse
-  /// (generalization). The switch is `auto_idtd_min_words`.
-  kAuto,
-  kIdtd,
-  kCrx,
-  kRewriteOnly,  ///< plain Algorithm 1 (fails on non-representative data)
-};
-
-/// The registry name the enum value aliases.
-std::string_view LearnerNameOf(InferenceAlgorithm algorithm);
-
 struct InferenceOptions {
-  InferenceAlgorithm algorithm = InferenceAlgorithm::kAuto;
-  /// Registry name of the per-element learner. When empty (the default)
-  /// the legacy `algorithm` enum decides; when set it wins. Any name
-  /// registered in LearnerRegistry::Global() works, e.g. "trang" or
-  /// "xtract".
-  std::string learner;
-  /// kAuto threshold: elements with at least this many observed words go
-  /// through iDTD, sparser ones through CRX.
+  /// Registry name of the per-element learner. Any name registered in
+  /// LearnerRegistry::Global() works: "auto" (the paper's two-regime
+  /// recommendation — iDTD when an element has plenty of data, CRX when
+  /// data is sparse), "idtd", "crx", "rewrite" (plain Algorithm 1), and
+  /// the Section 8 baselines "trang" and "xtract".
+  std::string learner = "auto";
+  /// "auto" threshold: elements with at least this many observed words
+  /// go through iDTD, sparser ones through CRX.
   int auto_idtd_min_words = 100;
   /// Section 9 noise handling: element names supported by fewer than
   /// this many occurrences are dropped from content models (0 = off).
@@ -63,11 +45,6 @@ struct InferenceOptions {
   /// end tags are repaired instead of rejected) — for corpora like the
   /// paper's XHTML crawl where 89% of documents are not well-formed.
   bool lenient_xml = false;
-  /// Ingest documents through the streaming SAX fold (no DOM
-  /// materialization) where the caller supports it (CLI `infer`,
-  /// ParallelDtdInferrer shards). The inferred DTD is identical either
-  /// way; this only selects the faster path.
-  bool streaming_ingest = true;
   /// Documents per scheduler batch in ParallelDtdInferrer: workers pull
   /// whole batches from the work-stealing deque, so this trades hand-off
   /// overhead (small batches) against load-balance granularity (large
@@ -101,7 +78,9 @@ class DtdInferrer {
   const Learner* learner() const { return learner_; }
 
   /// Parses and folds an XML document given as text (DOM path: the
-  /// document tree is materialized, then folded).
+  /// document tree is materialized, then folded). Every shipped
+  /// consumer ingests through StreamingFolder instead; this path is the
+  /// reference the differential tests compare the streaming fold with.
   Status AddXml(std::string_view xml);
 
   /// Parses and folds an XML document through the streaming SAX path —

@@ -126,9 +126,8 @@ void ParallelDtdInferrer::ProcessBatch(Shard* shard, Batch* batch) {
       }
     }
     // Parse + fold without any lock — the hot path touches only
-    // shard-local state. Streaming (the default) folds SAX events
-    // straight into the shard's summaries; the DOM path stays available
-    // for comparison (`streaming_ingest = false`).
+    // shard-local state: SAX events fold straight into the shard's
+    // summaries.
     //
     // Exception containment: a document that throws mid-ingestion
     // (std::bad_alloc on a pathological input, std::length_error from a
@@ -148,8 +147,7 @@ void ParallelDtdInferrer::ProcessBatch(Shard* shard, Batch* batch) {
                 ingest_fault_.load(std::memory_order_acquire)) {
           fault(item.doc_index);
         }
-        status = options_.streaming_ingest ? shard->folder.AddXml(xml)
-                                           : shard->inferrer.AddXml(xml);
+        status = shard->folder.AddXml(xml);
       } catch (const std::exception& e) {
         shard->folder.AbortDocument();
         obs::SchedAdd(obs::SchedCounter::kWorkerExceptions, 1);
@@ -177,21 +175,20 @@ void ParallelDtdInferrer::ProcessBatch(Shard* shard, Batch* batch) {
   delete batch;
 }
 
-Status ParallelDtdInferrer::AggregateStatus() const {
-  if (errors_.empty()) return Status::OK();
-  if (errors_.size() == 1) return errors_.front().status;
-  const DocumentError& first = errors_.front();
+Status ParallelDtdInferrer::AggregateErrors(
+    const std::vector<DocumentError>& errors) {
+  if (errors.empty()) return Status::OK();
+  if (errors.size() == 1) return errors.front().status;
+  const DocumentError& first = errors.front();
   return Status(first.status.code(),
-                std::to_string(errors_.size()) +
-                    " documents failed to ingest; first failure at "
-                    "document " +
+                std::to_string(errors.size()) +
+                    " documents failed to ingest (first: document " +
                     std::to_string(first.doc_index) + ": " +
-                    first.status.message() +
-                    " (see errors() for the full list)");
+                    first.status.message() + ")");
 }
 
 Status ParallelDtdInferrer::Finish() {
-  if (finished_) return AggregateStatus();
+  if (finished_) return AggregateErrors(errors_);
   finished_ = true;
   if (pending_ != nullptr) DispatchPending();
   {
@@ -277,7 +274,7 @@ Status ParallelDtdInferrer::Finish() {
             [](const DocumentError& a, const DocumentError& b) {
               return a.doc_index < b.doc_index;
             });
-  return AggregateStatus();
+  return AggregateErrors(errors_);
 }
 
 Result<Dtd> ParallelDtdInferrer::InferDtd() {

@@ -117,6 +117,12 @@ class ParallelDtdInferrer {
   /// Finish()).
   const std::vector<DocumentError>& errors() const { return errors_; }
 
+  /// The status every batch ingester reports for a failure list sorted
+  /// by document index: OK when empty, the failure itself when there is
+  /// one, otherwise the first failure's code with a message naming the
+  /// failure count and the lowest failed index.
+  static Status AggregateErrors(const std::vector<DocumentError>& errors);
+
   /// Test seam: a hook invoked with each document's submission index
   /// just before the document is ingested, on the worker thread. A test
   /// installs a throwing hook to exercise the pool's exception
@@ -142,10 +148,9 @@ class ParallelDtdInferrer {
     explicit Shard(const InferenceOptions& options)
         : inferrer(options), folder(&inferrer) {}
     DtdInferrer inferrer;
-    /// Streaming fold driver over `inferrer` (used when
-    /// `InferenceOptions::streaming_ingest` is set): folds documents
-    /// without a DOM and dedups repeated words shard-locally. Flushed at
-    /// the barrier before the shard merges.
+    /// Streaming fold driver over `inferrer`: folds documents without a
+    /// DOM and dedups repeated words shard-locally. Flushed at the
+    /// barrier before the shard merges.
     StreamingFolder folder;
     /// Alphabet ids [first, last) of this shard that were first interned
     /// while folding `doc_index` — the replay log for rebuilding the
@@ -185,8 +190,6 @@ class ParallelDtdInferrer {
   void Worker(Shard* shard);
   /// Ingests every document of `batch` into `shard`, then frees it.
   void ProcessBatch(Shard* shard, Batch* batch);
-  /// The status Finish() reports for the current errors_ list.
-  Status AggregateStatus() const;
 
   static std::atomic<IngestFault> ingest_fault_;
 

@@ -1,6 +1,5 @@
 #include "infer/streaming.h"
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -10,45 +9,15 @@
 
 namespace condtd {
 
-namespace {
-
-/// CONDTD_LEGACY_DEDUP selects the pre-rebuild unordered_map dedup cache
-/// (the differential oracle). Any non-empty value other than "0" counts.
-bool LegacyDedupFromEnv() {
-  const char* env = std::getenv("CONDTD_LEGACY_DEDUP");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
-
-}  // namespace
-
 StreamingFolder::StreamingFolder(DtdInferrer* inferrer)
     : StreamingFolder(inferrer, Options()) {}
 
 StreamingFolder::StreamingFolder(DtdInferrer* inferrer, Options options)
     : inferrer_(inferrer),
       store_(&inferrer->summaries()),
-      options_(options) {
-  if (!options_.ignore_dedup_env && !options_.legacy_dedup_cache &&
-      LegacyDedupFromEnv()) {
-    options_.legacy_dedup_cache = true;
-  }
-}
+      options_(options) {}
 
 StreamingFolder::~StreamingFolder() { Flush(); }
-
-size_t StreamingFolder::cache_bytes_resident() const {
-  if (!options_.legacy_dedup_cache) return cache_.bytes_resident();
-  // Structural estimate for the legacy node-based map: one heap node per
-  // entry (key + value + two node pointers of bucket bookkeeping), the
-  // bucket array, and each key's Word heap buffer.
-  size_t bytes = legacy_cache_.bucket_count() * sizeof(void*);
-  for (const auto& [key, count] : legacy_cache_) {
-    bytes += sizeof(WordKey) + sizeof(int64_t) + 2 * sizeof(void*) +
-             key.word.capacity() * sizeof(Symbol);
-  }
-  return bytes;
-}
 
 ElementSummary* StreamingFolder::FindState(Symbol symbol) {
   size_t index = static_cast<size_t>(symbol);
@@ -121,39 +90,23 @@ void StreamingFolder::CompleteTop() {
       doc_attr_records_.push_back(
           {frame.symbol, frame.attr_first, frame.attr_count});
     }
-    if (!options_.legacy_dedup_cache) {
-      // The frame's hash was built incrementally as children appended,
-      // so the commit is one probe — no re-walk of the word.
-      FlatWordCache::Upserted result =
-          cache_.Upsert(frame.word_hash, frame.symbol, frame.word.data(),
-                        static_cast<uint32_t>(frame.word.size()));
-      if (result.inserted) {
-        ++dedup_misses_;
-        obs::SchedAdd(obs::SchedCounter::kDedupMisses, 1);
-      } else {
-        ++dedup_hits_;
-        obs::SchedAdd(obs::SchedCounter::kDedupHits, 1);
-      }
-      ++cache_.entry(result.index).count;
-      word_journal_.push_back(result.index);
+    // The frame's hash was built incrementally as children appended, so
+    // the commit is one probe — no re-walk of the word.
+    FlatWordCache::Upserted result =
+        cache_.Upsert(frame.word_hash, frame.symbol, frame.word.data(),
+                      static_cast<uint32_t>(frame.word.size()));
+    if (result.inserted) {
+      ++dedup_misses_;
+      obs::SchedAdd(obs::SchedCounter::kDedupMisses, 1);
     } else {
-      auto it = legacy_cache_.find(WordKeyRef{frame.symbol, &frame.word});
-      if (it == legacy_cache_.end()) {
-        it = legacy_cache_
-                 .emplace(WordKey{frame.symbol, std::move(frame.word)}, 0)
-                 .first;
-        legacy_flush_order_.push_back(&*it);
-        ++dedup_misses_;
-        obs::SchedAdd(obs::SchedCounter::kDedupMisses, 1);
-      } else {
-        ++dedup_hits_;
-        obs::SchedAdd(obs::SchedCounter::kDedupHits, 1);
-      }
-      ++it->second;
-      legacy_word_journal_.push_back(&it->second);
+      ++dedup_hits_;
+      obs::SchedAdd(obs::SchedCounter::kDedupHits, 1);
     }
+    ++cache_.entry(result.index).count;
+    word_journal_.push_back(result.index);
   } else {
-    // Eager mode (benchmark baseline): fold and account immediately.
+    // Eager mode (benchmark baseline and the dedup cache's test oracle):
+    // fold and account immediately.
     ElementSummary& summary = EnsureState(frame.symbol);
     ++summary.occurrences;
     if (frame.has_text) {
@@ -212,16 +165,13 @@ void StreamingFolder::CommitDocument() {
     // The cache increments are already in place; committing just retires
     // the rollback journal (ResetDocument must not undo them).
     word_journal_.clear();
-    legacy_word_journal_.clear();
     obs::GaugeMax(obs::Gauge::kDedupCachePeak, distinct_words_cached());
     if (obs::StatsEnabled()) {
       obs::GaugeMax(obs::Gauge::kDedupCacheBytesPeak,
                     static_cast<int64_t>(cache_bytes_resident()));
-      if (!options_.legacy_dedup_cache) {
-        obs::SchedAdd(obs::SchedCounter::kDedupProbeSteps,
-                      cache_.probe_steps() - probe_steps_published_);
-        probe_steps_published_ = cache_.probe_steps();
-      }
+      obs::SchedAdd(obs::SchedCounter::kDedupProbeSteps,
+                    cache_.probe_steps() - probe_steps_published_);
+      probe_steps_published_ = cache_.probe_steps();
     }
     if (static_cast<size_t>(distinct_words_cached()) >=
         options_.max_distinct_words) {
@@ -237,8 +187,6 @@ void StreamingFolder::ResetDocument() {
   // Flush() skips them — so no erase is needed here.
   for (uint32_t index : word_journal_) --cache_.entry(index).count;
   word_journal_.clear();
-  for (int64_t* count : legacy_word_journal_) --*count;
-  legacy_word_journal_.clear();
   depth_ = 0;
   root_symbol_ = kInvalidSymbol;
   root_seen_ = false;
@@ -264,36 +212,22 @@ void StreamingFolder::FoldWeighted(Symbol element, const Word& word,
 }
 
 void StreamingFolder::Flush() {
-  if (!options_.legacy_dedup_cache) {
-    if (cache_.empty()) return;
-    ++dedup_flushes_;
-    obs::SchedAdd(obs::SchedCounter::kDedupFlushes, 1);
-    // Entries iterate in insertion order == first-occurrence order ==
-    // the order the DOM path first folds each distinct word, keeping SOA
-    // state numbering (and SaveState text) pinned to the DOM path.
-    for (const FlatWordCache::Entry& entry : cache_.entries()) {
-      // Zero-count entries are rolled-back first occurrences from a
-      // failed document; folding them would create an ElementSummary the
-      // DOM path never would.
-      if (entry.count <= 0) continue;
-      flush_word_.assign(entry.word, entry.word + entry.length);
-      FoldWeighted(entry.element, flush_word_, entry.count);
-      obs::SchedAdd(obs::SchedCounter::kWeightedFoldOps, 1);
-    }
-    cache_.Clear();
-    return;
-  }
-  if (legacy_cache_.empty()) return;
+  if (cache_.empty()) return;
   ++dedup_flushes_;
   obs::SchedAdd(obs::SchedCounter::kDedupFlushes, 1);
-  // First-occurrence order, matching the flat cache and the DOM path.
-  for (const WordCounts::value_type* entry : legacy_flush_order_) {
-    if (entry->second <= 0) continue;
-    FoldWeighted(entry->first.element, entry->first.word, entry->second);
+  // Entries iterate in insertion order == first-occurrence order == the
+  // order the DOM path first folds each distinct word, keeping SOA state
+  // numbering (and SaveState text) pinned to the DOM path.
+  for (const FlatWordCache::Entry& entry : cache_.entries()) {
+    // Zero-count entries are rolled-back first occurrences from a failed
+    // document; folding them would create an ElementSummary the DOM path
+    // never would.
+    if (entry.count <= 0) continue;
+    flush_word_.assign(entry.word, entry.word + entry.length);
+    FoldWeighted(entry.element, flush_word_, entry.count);
     obs::SchedAdd(obs::SchedCounter::kWeightedFoldOps, 1);
   }
-  legacy_cache_.clear();
-  legacy_flush_order_.clear();
+  cache_.Clear();
 }
 
 Status StreamingFolder::AddXml(std::string_view xml) {
@@ -355,6 +289,10 @@ Status StreamingFolder::AddXml(std::string_view xml) {
                         std::string(event.name) + ">)");
           }
           break;
+        }
+        if (!event.self_closing && depth_ >= kMaxElementDepth) {
+          return fail("element nesting deeper than " +
+                      std::to_string(kMaxElementDepth));
         }
         Symbol symbol = alphabet->Intern(event.name);
         if (depth_ == 0) {

@@ -15,9 +15,7 @@ namespace condtd {
 /// element frame seeds with its element symbol and steps once per child
 /// appended, so the hash of the completed (element, word) key is ready
 /// the moment the end tag is seen — the commit probe never re-walks the
-/// word. The mix is the same FNV-flavored fold the legacy
-/// `std::unordered_map` cache used, kept bit-for-bit so the two cache
-/// implementations can be differentially tested against each other.
+/// word. The mix is an FNV-flavored fold.
 struct WordHash {
   static uint64_t Seed(Symbol element) {
     return 0xcbf29ce484222325ull ^ static_cast<uint64_t>(element);
@@ -27,7 +25,7 @@ struct WordHash {
                 (h << 6) + (h >> 2));
   }
   /// Whole-key hash: Seed folded over the word. Only cold paths (tests,
-  /// the legacy cache, rollback verification) should need this.
+  /// rollback verification) should need this.
   static uint64_t Mix(Symbol element, const Symbol* word, size_t length) {
     uint64_t h = Seed(element);
     for (size_t i = 0; i < length; ++i) h = Step(h, word[i]);

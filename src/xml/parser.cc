@@ -1,77 +1,91 @@
 #include "xml/parser.h"
-#include <string>
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "xml/lexer.h"
+#include "xml/sax.h"
 
 namespace condtd {
 
 namespace {
 
-// Element trees are destroyed recursively, so the parser bounds nesting
-// up front. The cap is far above real documents (and the depth-2000
-// edge-case tests) but small enough that the destructor recursion a
-// hostile input can force stays well inside the stack.
-constexpr size_t kMaxElementDepth = 10000;
-
-}  // namespace
-
-Result<XmlDocument> ParseXmlLenient(
-    std::string_view input, std::vector<std::string>* recovered_errors) {
-  XmlLexer lexer(input);
+/// Builds the element tree from SaxLexer events. Strict mode rejects
+/// every well-formedness violation; lenient mode repairs tag soup and
+/// reports each repair through `note`. Lexical errors fail either way.
+Result<XmlDocument> BuildDocument(std::string_view input, bool lenient,
+                                  std::vector<std::string>* recovered_errors) {
+  SaxLexer lexer(input);
   XmlDocument doc;
   std::vector<XmlElement*> stack;
-  bool root_done = false;
-  auto note = [&](const std::string& message) {
-    if (recovered_errors != nullptr) recovered_errors->push_back(message);
+  auto note = [&](std::string message) {
+    if (recovered_errors != nullptr) {
+      recovered_errors->push_back(std::move(message));
+    }
   };
 
   while (true) {
-    Result<XmlToken> next = lexer.Next();
-    if (!next.ok()) return next.status();  // lexical errors still fail
-    const XmlToken& token = next.value();
-    switch (token.kind) {
-      case XmlTokenKind::kEof:
+    Result<SaxEvent> next = lexer.Next();
+    if (!next.ok()) return next.status();
+    const SaxEvent& event = next.value();
+    switch (event.kind) {
+      case SaxEventKind::kEof:
         if (!stack.empty()) {
+          if (!lenient) {
+            return Status::ParseError("unexpected end of document inside <" +
+                                      stack.back()->name() + ">");
+          }
           note("closed " + std::to_string(stack.size()) +
                " unclosed element(s) at end of input");
-          stack.clear();
         }
         if (doc.root == nullptr) {
           return Status::ParseError("document has no root element");
         }
         return doc;
-      case XmlTokenKind::kDoctype:
-        if (doc.root == nullptr) doc.doctype = token.text;
-        break;
-      case XmlTokenKind::kText:
-        if (!stack.empty()) {
-          stack.back()->AppendText(token.text);
-        } else {
-          note("dropped character data outside the root element");
-        }
-        break;
-      case XmlTokenKind::kStartTag: {
-        if (stack.empty() && root_done) {
-          note("dropped content after the root element (<" + token.name +
-               ">)");
-          // Consume the subtree by tracking nesting without building it:
-          // simplest recovery — skip just this tag.
+      case SaxEventKind::kDoctype:
+        if (doc.root != nullptr) {
+          if (!lenient) {
+            return Status::ParseError("DOCTYPE after the root element");
+          }
           break;
         }
-        XmlElement* element;
+        doc.doctype = std::string(event.text);
+        break;
+      case SaxEventKind::kText:
         if (stack.empty()) {
-          doc.root = std::make_unique<XmlElement>(token.name);
+          if (!lenient) {
+            return Status::ParseError(
+                "character data outside the root element at offset " +
+                std::to_string(event.offset));
+          }
+          note("dropped character data outside the root element");
+          break;
+        }
+        stack.back()->AppendText(event.text);
+        break;
+      case SaxEventKind::kStartElement: {
+        XmlElement* element;
+        if (!stack.empty()) {
+          element = stack.back()->AddChild(std::string(event.name));
+        } else if (doc.root == nullptr) {
+          doc.root = std::make_unique<XmlElement>(std::string(event.name));
           element = doc.root.get();
-          root_done = true;
+        } else if (!lenient) {
+          return Status::ParseError("multiple root elements (<" +
+                                    std::string(event.name) + ">)");
         } else {
-          element = stack.back()->AddChild(token.name);
+          // Recovery skips just this tag; its content lands outside the
+          // root too and is dropped piece by piece.
+          note("dropped content after the root element (<" +
+               std::string(event.name) + ">)");
+          break;
         }
-        for (const auto& [k, v] : token.attributes) {
-          element->AddAttribute(k, v);
+        for (const SaxAttribute& attr : lexer.attributes()) {
+          element->AddAttribute(std::string(attr.key),
+                                std::string(attr.value));
         }
-        if (!token.self_closing) {
+        if (!event.self_closing) {
           if (stack.size() >= kMaxElementDepth) {
             return Status::ParseError("element nesting deeper than " +
                                       std::to_string(kMaxElementDepth));
@@ -80,23 +94,36 @@ Result<XmlDocument> ParseXmlLenient(
         }
         break;
       }
-      case XmlTokenKind::kEndTag: {
-        // Find the nearest open element with this name.
-        int match = -1;
-        for (int i = static_cast<int>(stack.size()) - 1; i >= 0; --i) {
-          if (stack[i]->name() == token.name) {
-            match = i;
+      case SaxEventKind::kEndElement: {
+        if (!lenient) {
+          if (stack.empty()) {
+            return Status::ParseError("stray closing tag </" +
+                                      std::string(event.name) + ">");
+          }
+          if (stack.back()->name() != event.name) {
+            return Status::ParseError(
+                "mismatched closing tag </" + std::string(event.name) +
+                ">; expected </" + stack.back()->name() + ">");
+          }
+          stack.pop_back();
+          break;
+        }
+        // Close down to the nearest open element with this name.
+        size_t match = stack.size();
+        for (size_t i = stack.size(); i > 0; --i) {
+          if (stack[i - 1]->name() == event.name) {
+            match = i - 1;
             break;
           }
         }
-        if (match < 0) {
-          note("dropped stray closing tag </" + token.name + ">");
+        if (match == stack.size()) {
+          note("dropped stray closing tag </" + std::string(event.name) +
+               ">");
           break;
         }
-        if (match + 1 != static_cast<int>(stack.size())) {
-          note("auto-closed " +
-               std::to_string(stack.size() - match - 1) +
-               " element(s) at </" + token.name + ">");
+        if (match + 1 != stack.size()) {
+          note("auto-closed " + std::to_string(stack.size() - match - 1) +
+               " element(s) at </" + std::string(event.name) + ">");
         }
         stack.resize(match);
         break;
@@ -105,77 +132,15 @@ Result<XmlDocument> ParseXmlLenient(
   }
 }
 
-Result<XmlDocument> ParseXml(std::string_view input) {
-  XmlLexer lexer(input);
-  XmlDocument doc;
-  std::vector<XmlElement*> stack;
+}  // namespace
 
-  while (true) {
-    Result<XmlToken> next = lexer.Next();
-    if (!next.ok()) return next.status();
-    const XmlToken& token = next.value();
-    switch (token.kind) {
-      case XmlTokenKind::kEof:
-        if (!stack.empty()) {
-          return Status::ParseError("unexpected end of document inside <" +
-                                    stack.back()->name() + ">");
-        }
-        if (doc.root == nullptr) {
-          return Status::ParseError("document has no root element");
-        }
-        return doc;
-      case XmlTokenKind::kDoctype:
-        if (doc.root != nullptr || !stack.empty()) {
-          return Status::ParseError("DOCTYPE after the root element");
-        }
-        doc.doctype = token.text;
-        break;
-      case XmlTokenKind::kText:
-        if (stack.empty()) {
-          return Status::ParseError(
-              "character data outside the root element at offset " +
-              std::to_string(token.offset));
-        }
-        stack.back()->AppendText(token.text);
-        break;
-      case XmlTokenKind::kStartTag: {
-        XmlElement* element;
-        if (stack.empty()) {
-          if (doc.root != nullptr) {
-            return Status::ParseError("multiple root elements (<" +
-                                      token.name + ">)");
-          }
-          doc.root = std::make_unique<XmlElement>(token.name);
-          element = doc.root.get();
-        } else {
-          element = stack.back()->AddChild(token.name);
-        }
-        for (const auto& [k, v] : token.attributes) {
-          element->AddAttribute(k, v);
-        }
-        if (!token.self_closing) {
-          if (stack.size() >= kMaxElementDepth) {
-            return Status::ParseError("element nesting deeper than " +
-                                      std::to_string(kMaxElementDepth));
-          }
-          stack.push_back(element);
-        }
-        break;
-      }
-      case XmlTokenKind::kEndTag:
-        if (stack.empty()) {
-          return Status::ParseError("stray closing tag </" + token.name +
-                                    ">");
-        }
-        if (stack.back()->name() != token.name) {
-          return Status::ParseError("mismatched closing tag </" +
-                                    token.name + ">; expected </" +
-                                    stack.back()->name() + ">");
-        }
-        stack.pop_back();
-        break;
-    }
-  }
+Result<XmlDocument> ParseXml(std::string_view input) {
+  return BuildDocument(input, /*lenient=*/false, nullptr);
+}
+
+Result<XmlDocument> ParseXmlLenient(
+    std::string_view input, std::vector<std::string>* recovered_errors) {
+  return BuildDocument(input, /*lenient=*/true, recovered_errors);
 }
 
 }  // namespace condtd

@@ -10,9 +10,10 @@
 
 namespace condtd {
 
-/// Parses an XML document from memory into a DOM tree. Strict about
-/// well-formedness (tag balance, single root); permissive about the
-/// things noisy real-world data gets wrong (unknown entities, valueless
+/// Parses an XML document from memory into a DOM tree built from
+/// `SaxLexer` events. Strict about well-formedness (tag balance, single
+/// root, nesting at most kMaxElementDepth); permissive about the things
+/// noisy real-world data gets wrong (unknown entities, valueless
 /// attributes).
 Result<XmlDocument> ParseXml(std::string_view input);
 

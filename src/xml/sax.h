@@ -11,6 +11,20 @@
 
 namespace condtd {
 
+/// Deepest element nesting any consumer of the lexer accepts: the DOM
+/// builder (ParseXml, ParseXmlLenient) and the streaming fold both
+/// reject a document that opens more elements than this, with the
+/// message "element nesting deeper than 10000". The cap is far above
+/// real documents but bounds what a hostile input can force: the DOM
+/// tree's recursive destructor and the streaming fold's frame stack.
+inline constexpr size_t kMaxElementDepth = 10000;
+
+/// Appends `raw` to `out` with the predefined (&amp; &lt; &gt; &apos;
+/// &quot;) and numeric character entities decoded; unknown entities are
+/// kept verbatim so noisy real-world data does not abort parsing.
+/// Entity-free input takes a bulk-append fast path (no per-byte loop).
+Status DecodeXmlEntities(std::string_view raw, std::string* out);
+
 /// Event kinds produced by the streaming lexer. Comments and processing
 /// instructions are consumed silently; pure-whitespace character runs
 /// are skipped (they never constitute significant text).
@@ -44,14 +58,15 @@ struct SaxEvent {
   size_t offset = 0;  ///< byte offset for error messages
 };
 
-/// Streaming (SAX-style) pull lexer over an in-memory XML document:
-/// the zero-copy sibling of `XmlLexer`. Grammar and permissiveness are
-/// identical (tags, single/double-quoted attributes, comments, PIs,
-/// CDATA, DOCTYPE with internal subset, predefined + numeric entities,
-/// valueless attributes), but names, attribute values and entity-free
-/// text are returned as views into the raw buffer — nothing is copied
-/// unless an entity must be decoded, and the decode scratch is reused
-/// across events so a whole document lexes with O(1) allocations.
+/// Streaming (SAX-style) pull lexer over an in-memory XML document —
+/// the one XML lexer: the streaming fold consumes its events directly
+/// and the DOM builder (xml/parser.h) assembles a tree from them. It
+/// handles tags, single/double-quoted attributes, comments, PIs, CDATA,
+/// DOCTYPE with internal subset, predefined + numeric entities and
+/// valueless attributes. Names, attribute values and entity-free text
+/// are returned as views into the raw buffer — nothing is copied unless
+/// an entity must be decoded, and the decode scratch is reused across
+/// events so a whole document lexes with O(1) allocations.
 class SaxLexer {
  public:
   SaxLexer() = default;

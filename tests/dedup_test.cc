@@ -1,8 +1,8 @@
-// Differential tests for the fold-path rebuild: the flat open-addressing
-// word cache (FlatWordCache + incremental WordHash) against the legacy
-// std::unordered_map oracle it replaced (kept one release behind
-// Options::legacy_dedup_cache / CONDTD_LEGACY_DEDUP), and the dense fold
-// kernels against the generic map-based paths they shortcut.
+// Differential tests for the fold path: the flat open-addressing word
+// cache (FlatWordCache + incremental WordHash) against the eager
+// no-dedup fold (StreamingFolder::Options::dedup_words = false) and the
+// DOM path, and the dense fold kernels against the generic map-based
+// paths they shortcut.
 //
 // The load-bearing assertions compare SaveState text, not just the
 // inferred DTD — SaveState exposes SOA state insertion order, every
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -226,7 +225,7 @@ TEST(DenseFoldKernel, MatchesGenericPathAcrossWordShapes) {
   }
 }
 
-// --- flat vs legacy cache, end to end --------------------------------------
+// --- flat cache vs the no-dedup fold, end to end ---------------------------
 
 std::vector<std::string> GenerateCorpus(int count, uint64_t seed) {
   Alphabet alphabet;
@@ -257,6 +256,7 @@ std::vector<std::string> GenerateCorpus(int count, uint64_t seed) {
 struct FoldRun {
   std::string dtd;
   std::string state;
+  int64_t words = 0;
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t flushes = 0;
@@ -269,7 +269,6 @@ FoldRun RunFold(const std::vector<std::string>& documents,
                 const std::vector<std::string>& broken,
                 StreamingFolder::Options folder_options) {
   FoldRun run;
-  folder_options.ignore_dedup_env = true;  // each run pins its cache
   DtdInferrer inferrer;
   {
     StreamingFolder folder(&inferrer, folder_options);
@@ -279,6 +278,7 @@ FoldRun RunFold(const std::vector<std::string>& documents,
         EXPECT_FALSE(folder.AddXml(broken[d]).ok());
       }
     }
+    run.words = folder.words_folded();
     run.hits = folder.dedup_hits();
     run.misses = folder.dedup_misses();
     run.flushes = folder.dedup_flushes();
@@ -290,20 +290,20 @@ FoldRun RunFold(const std::vector<std::string>& documents,
   return run;
 }
 
-TEST(DedupDifferential, FlatAndLegacyCachesAreByteIdentical) {
+TEST(DedupDifferential, FlatCacheMatchesNoDedupFold) {
   std::vector<std::string> documents = GenerateCorpus(40, 123);
-  StreamingFolder::Options flat;
-  StreamingFolder::Options legacy;
-  legacy.legacy_dedup_cache = true;
-  FoldRun flat_run = RunFold(documents, {}, flat);
-  FoldRun legacy_run = RunFold(documents, {}, legacy);
-  EXPECT_EQ(flat_run.dtd, legacy_run.dtd);
-  EXPECT_EQ(flat_run.state, legacy_run.state);
-  // Both caches key on the same (element, word) pairs, so the hit/miss
-  // split must agree exactly, not just the DTD.
-  EXPECT_EQ(flat_run.hits, legacy_run.hits);
-  EXPECT_EQ(flat_run.misses, legacy_run.misses);
+  StreamingFolder::Options eager;
+  eager.dedup_words = false;
+  FoldRun flat_run = RunFold(documents, {}, {});
+  FoldRun eager_run = RunFold(documents, {}, eager);
+  EXPECT_EQ(flat_run.dtd, eager_run.dtd);
+  EXPECT_EQ(flat_run.state, eager_run.state);
+  // Every folded word is either a cache hit or a miss, and both folds
+  // see the same words.
+  EXPECT_EQ(flat_run.words, eager_run.words);
+  EXPECT_EQ(flat_run.hits + flat_run.misses, flat_run.words);
   EXPECT_GT(flat_run.hits, 0);
+  EXPECT_EQ(eager_run.hits + eager_run.misses, 0);
 }
 
 TEST(DedupDifferential, MatchesDomPath) {
@@ -332,47 +332,35 @@ TEST(DedupDifferential, RejectedDocumentsLeaveNoResidue) {
                                       0, documents[d].size() / 2) + "<"
                                 : std::string());
   }
-  for (bool legacy : {false, true}) {
-    StreamingFolder::Options options;
-    options.legacy_dedup_cache = legacy;
-    FoldRun with_broken = RunFold(documents, broken, options);
-    FoldRun clean_only = RunFold(documents, {}, options);
-    EXPECT_EQ(with_broken.dtd, clean_only.dtd)
-        << (legacy ? "legacy" : "flat") << " cache leaked rollback state";
-    EXPECT_EQ(with_broken.state, clean_only.state)
-        << (legacy ? "legacy" : "flat") << " cache leaked rollback state";
-  }
+  FoldRun with_broken = RunFold(documents, broken, {});
+  FoldRun clean_only = RunFold(documents, {}, {});
+  EXPECT_EQ(with_broken.dtd, clean_only.dtd);
+  EXPECT_EQ(with_broken.state, clean_only.state);
 }
 
 TEST(DedupDifferential, AbortDocumentMatchesParseFailure) {
   std::vector<std::string> documents = GenerateCorpus(10, 789);
-  for (bool legacy : {false, true}) {
-    StreamingFolder::Options options;
-    options.legacy_dedup_cache = legacy;
-    options.ignore_dedup_env = true;
-
-    DtdInferrer aborted;
-    {
-      StreamingFolder folder(&aborted, options);
-      ASSERT_TRUE(folder.AddXml(documents[0]).ok());
-      // Feed a clean document, then abort from the outside the way the
-      // parallel worker pool does after containing an exception.
-      ASSERT_TRUE(folder.AddXml(documents[1]).ok());
-      folder.AbortDocument();  // no document in flight: must be a no-op
-      for (size_t d = 2; d < documents.size(); ++d) {
-        ASSERT_TRUE(folder.AddXml(documents[d]).ok());
-      }
+  DtdInferrer aborted;
+  {
+    StreamingFolder folder(&aborted);
+    ASSERT_TRUE(folder.AddXml(documents[0]).ok());
+    // Feed a clean document, then abort from the outside the way the
+    // parallel worker pool does after containing an exception.
+    ASSERT_TRUE(folder.AddXml(documents[1]).ok());
+    folder.AbortDocument();  // no document in flight: must be a no-op
+    for (size_t d = 2; d < documents.size(); ++d) {
+      ASSERT_TRUE(folder.AddXml(documents[d]).ok());
     }
-
-    DtdInferrer plain;
-    {
-      StreamingFolder folder(&plain, options);
-      for (const std::string& doc : documents) {
-        ASSERT_TRUE(folder.AddXml(doc).ok());
-      }
-    }
-    EXPECT_EQ(aborted.SaveState(), plain.SaveState());
   }
+
+  DtdInferrer plain;
+  {
+    StreamingFolder folder(&plain);
+    for (const std::string& doc : documents) {
+      ASSERT_TRUE(folder.AddXml(doc).ok());
+    }
+  }
+  EXPECT_EQ(aborted.SaveState(), plain.SaveState());
 }
 
 TEST(DedupDifferential, EarlyFlushesPreserveTheResult) {
@@ -388,28 +376,10 @@ TEST(DedupDifferential, EarlyFlushesPreserveTheResult) {
   // inferred DTD, not SOA state numbering.
 }
 
-TEST(DedupDifferential, LegacyEnvVarSelectsTheOracleCache) {
-  ASSERT_EQ(setenv("CONDTD_LEGACY_DEDUP", "1", 1), 0);
-  DtdInferrer inferrer;
-  {
-    StreamingFolder folder(&inferrer);
-    EXPECT_TRUE(folder.using_legacy_cache());
-  }
-  ASSERT_EQ(setenv("CONDTD_LEGACY_DEDUP", "0", 1), 0);
-  {
-    StreamingFolder folder(&inferrer);
-    EXPECT_FALSE(folder.using_legacy_cache());
-  }
-  ASSERT_EQ(unsetenv("CONDTD_LEGACY_DEDUP"), 0);
-  {
-    StreamingFolder folder(&inferrer);
-    EXPECT_FALSE(folder.using_legacy_cache());
-  }
-}
-
 /// A document with more distinct element names than the dense-ID window
 /// pushes symbols onto the generic (map-based) Soa and CRX paths inside
-/// a single corpus; flat and legacy caches must still agree bit for bit.
+/// a single corpus; the flat cache and the no-dedup fold must still
+/// agree bit for bit.
 TEST(DedupDifferential, SymbolsBeyondTheDenseWindowStayIdentical) {
   std::string doc = "<r>";
   for (int i = 0; i < kDenseFoldWindow + 200; ++i) {
@@ -419,10 +389,9 @@ TEST(DedupDifferential, SymbolsBeyondTheDenseWindowStayIdentical) {
   doc += "</r>";
   // Fold only (no InferDtd — learning a 4000+-state content model is
   // not what this test measures); SaveState captures the full summary.
-  auto fold_state = [&](bool legacy) {
+  auto fold_state = [&](bool dedup) {
     StreamingFolder::Options options;
-    options.legacy_dedup_cache = legacy;
-    options.ignore_dedup_env = true;
+    options.dedup_words = dedup;
     DtdInferrer inferrer;
     {
       StreamingFolder folder(&inferrer, options);

@@ -221,24 +221,13 @@ TEST(Differential, CorpusBAllAlgorithmsAgree) {
   }
 }
 
-// The legacy enum spellings must keep selecting the same learners.
-TEST(Differential, EnumAliasesMatchLearnerNames) {
-  const std::vector<std::pair<InferenceAlgorithm, std::string>> pairs = {
-      {InferenceAlgorithm::kAuto, "auto"},
-      {InferenceAlgorithm::kIdtd, "idtd"},
-      {InferenceAlgorithm::kCrx, "crx"},
-      {InferenceAlgorithm::kRewriteOnly, "rewrite"},
-  };
-  for (const auto& [algorithm, name] : pairs) {
-    EXPECT_EQ(LearnerNameOf(algorithm), name);
-    InferenceOptions via_enum;
-    via_enum.algorithm = algorithm;
-    DtdInferrer a(via_enum);
-    DtdInferrer b(OptionsFor(name));
-    ASSERT_NE(a.learner(), nullptr);
-    EXPECT_EQ(a.learner(), b.learner()) << name;
-    EXPECT_EQ(a.learner()->name(), name);
-  }
+// Options that name no learner select the paper's "auto" recommendation.
+TEST(Differential, DefaultLearnerIsAuto) {
+  DtdInferrer defaults{InferenceOptions{}};
+  DtdInferrer named(OptionsFor("auto"));
+  ASSERT_NE(defaults.learner(), nullptr);
+  EXPECT_EQ(defaults.learner(), named.learner());
+  EXPECT_EQ(defaults.learner()->name(), "auto");
 }
 
 // --- unordered corpus -----------------------------------------------------

@@ -298,9 +298,7 @@ TEST_F(ObsTest, FailedDocumentsCountOnBothIngestionPaths) {
   const std::string bad = "<a><b></a>";
   {
     obs::ResetStats();
-    InferenceOptions options;
-    options.streaming_ingest = false;
-    DtdInferrer dom(options);  // DOM path
+    DtdInferrer dom;  // DOM path
     EXPECT_TRUE(dom.AddXml(good).ok());
     EXPECT_FALSE(dom.AddXml(bad).ok());
     obs::StatsSnapshot snapshot = obs::SnapshotStats();

@@ -16,6 +16,7 @@
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
 #include "gen/xml_gen.h"
+#include "infer/engine.h"
 #include "infer/inferrer.h"
 #include "infer/parallel.h"
 #include "tests/testing.h"
@@ -269,6 +270,24 @@ TEST(ParallelInferrer, SingleFailureKeepsThatDocumentsStatus) {
   EXPECT_EQ(status.message(), inferrer.errors().front().status.message());
   EXPECT_EQ(status.message().find("documents failed"), std::string::npos)
       << status.ToString();
+}
+
+TEST(ParallelInferrer, EveryIngesterReportsTheSameAggregate) {
+  const std::vector<std::string> documents = {
+      "<broken><unclosed></broken>", "<feed/>", "not xml at all"};
+  ParallelDtdInferrer parallel(InferenceOptions{}, 2);
+  for (const std::string& doc : documents) parallel.AddXml(doc);
+  const std::string expected = parallel.Finish().ToString();
+  EXPECT_EQ(expected,
+            "ParseError: 2 documents failed to ingest (first: document 0: "
+            "mismatched closing tag </broken>; expected </unclosed>)");
+  for (int jobs : {1, 2}) {
+    IngestEngine::Options options;
+    options.jobs = jobs;
+    IngestEngine engine(options);
+    for (const std::string& doc : documents) engine.AddXml(doc);
+    EXPECT_EQ(engine.Finish().ToString(), expected) << "jobs=" << jobs;
+  }
 }
 
 /// Installs a throwing ingest fault for the test's duration; the

@@ -44,6 +44,7 @@
 #include "serve/journal.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "xml/sax.h"
 
 namespace condtd {
 namespace {
@@ -851,6 +852,13 @@ TEST_F(ServeEndToEnd, ErrorsComeBackWithCodes) {
       client.IngestInline("lib", "<broken><unclosed>");
   ASSERT_FALSE(bad_doc.ok());
   EXPECT_EQ(bad_doc.status().code(), StatusCode::kParseError);
+  std::string too_deep;
+  for (size_t i = 0; i <= kMaxElementDepth; ++i) too_deep += "<a>";
+  for (size_t i = 0; i <= kMaxElementDepth; ++i) too_deep += "</a>";
+  Result<std::string> deep_doc = client.IngestInline("lib", too_deep);
+  ASSERT_FALSE(deep_doc.ok());
+  EXPECT_EQ(deep_doc.status().ToString(),
+            "ParseError: element nesting deeper than 10000");
   Result<std::string> good_doc = client.IngestInline("lib", Doc(0));
   ASSERT_TRUE(good_doc.ok()) << good_doc.status().ToString();
   Result<std::string> dtd = client.Query("lib");

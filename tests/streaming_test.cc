@@ -220,10 +220,6 @@ void ExpectAllPathsIdentical(const std::vector<std::string>& documents,
   for (int jobs : {1, 2, 7}) {
     EXPECT_EQ(ParallelDtd(documents, jobs, options), expected)
         << "parallel streaming, " << jobs << " jobs";
-    InferenceOptions dom_options = options;
-    dom_options.streaming_ingest = false;
-    EXPECT_EQ(ParallelDtd(documents, jobs, dom_options), expected)
-        << "parallel DOM, " << jobs << " jobs";
   }
 }
 
@@ -278,6 +274,38 @@ TEST(StreamingErrors, StrictErrorsMatchDomParser) {
     EXPECT_FALSE(dom_status.ok()) << doc;
     EXPECT_FALSE(sax_status.ok()) << doc;
     EXPECT_EQ(dom_status.ToString(), sax_status.ToString()) << doc;
+  }
+}
+
+std::string NestedDocument(size_t depth) {
+  std::string doc;
+  for (size_t i = 0; i < depth; ++i) doc += "<a>";
+  for (size_t i = 0; i < depth; ++i) doc += "</a>";
+  return doc;
+}
+
+TEST(StreamingErrors, NestingCapIsTheSameOnEveryPath) {
+  const std::string deepest = NestedDocument(kMaxElementDepth);
+  const std::string too_deep = NestedDocument(kMaxElementDepth + 1);
+  for (bool lenient : {false, true}) {
+    InferenceOptions options;
+    options.lenient_xml = lenient;
+    ExpectAllPathsIdentical({deepest}, options);
+
+    DtdInferrer dom(options);
+    Status expected = dom.AddXml(too_deep);
+    EXPECT_EQ(expected.ToString(),
+              "ParseError: element nesting deeper than 10000");
+    DtdInferrer sax(options);
+    StreamingFolder folder(&sax);
+    EXPECT_EQ(folder.AddXml(too_deep).ToString(), expected.ToString())
+        << "lenient=" << lenient;
+    for (int jobs : {1, 2}) {
+      ParallelDtdInferrer parallel(options, jobs);
+      parallel.AddXml(too_deep);
+      EXPECT_EQ(parallel.Finish().ToString(), expected.ToString())
+          << "lenient=" << lenient << ", jobs=" << jobs;
+    }
   }
 }
 

@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "xml/extract.h"
-#include "xml/lexer.h"
 #include "xml/parser.h"
+#include "xml/sax.h"
 
 namespace condtd {
 namespace {
@@ -135,23 +135,23 @@ TEST(XmlExtract, ChildSequencesPerElement) {
   EXPECT_TRUE(contexts.roots.count(db) > 0);
 }
 
-TEST(XmlLexer, TokenStream) {
-  XmlLexer lexer("<a b=\"c\">x</a>");
-  Result<XmlToken> t1 = lexer.Next();
+TEST(SaxLexer, TokenStream) {
+  SaxLexer lexer("<a b=\"c\">x</a>");
+  Result<SaxEvent> t1 = lexer.Next();
   ASSERT_TRUE(t1.ok());
-  EXPECT_EQ(t1->kind, XmlTokenKind::kStartTag);
+  EXPECT_EQ(t1->kind, SaxEventKind::kStartElement);
   EXPECT_EQ(t1->name, "a");
-  ASSERT_EQ(t1->attributes.size(), 1u);
-  Result<XmlToken> t2 = lexer.Next();
+  ASSERT_EQ(lexer.attributes().size(), 1u);
+  Result<SaxEvent> t2 = lexer.Next();
   ASSERT_TRUE(t2.ok());
-  EXPECT_EQ(t2->kind, XmlTokenKind::kText);
+  EXPECT_EQ(t2->kind, SaxEventKind::kText);
   EXPECT_EQ(t2->text, "x");
-  Result<XmlToken> t3 = lexer.Next();
+  Result<SaxEvent> t3 = lexer.Next();
   ASSERT_TRUE(t3.ok());
-  EXPECT_EQ(t3->kind, XmlTokenKind::kEndTag);
-  Result<XmlToken> t4 = lexer.Next();
+  EXPECT_EQ(t3->kind, SaxEventKind::kEndElement);
+  Result<SaxEvent> t4 = lexer.Next();
   ASSERT_TRUE(t4.ok());
-  EXPECT_EQ(t4->kind, XmlTokenKind::kEof);
+  EXPECT_EQ(t4->kind, SaxEventKind::kEof);
 }
 
 }  // namespace
