@@ -66,7 +66,7 @@ void RunParallel(benchmark::State& state,
     ParallelDtdInferrer inferrer(InferenceOptions{}, threads);
     // Borrowed submission: `documents` outlives Finish(), so the
     // scheduler stages string_views into batches with no per-document
-    // copy — the same zero-copy path the CLI uses for mmap'd files.
+    // copy, so the sweep measures scheduling and folding, not staging.
     for (const std::string& doc : documents) inferrer.AddBorrowedXml(doc);
     Result<Dtd> dtd = inferrer.InferDtd();
     if (!dtd.ok()) state.SkipWithError("inference failed");

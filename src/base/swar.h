@@ -94,8 +94,9 @@ inline size_t FindByte(std::string_view text, size_t pos, char c) {
 /// Word-at-a-time: text/attribute runs handed to the decoder are short
 /// to medium (a few bytes to a few hundred), where the 8-bytes-per-
 /// iteration SWAR loop wins over memchr's call + alignment preamble.
-/// The loads are memcpy-based, so a '&' sitting at the buffer tail or
-/// an mmap page boundary is read safely (no past-the-end touch).
+/// The loads are memcpy-based and never cross the buffer end, so a '&'
+/// sitting in the buffer's last bytes is read safely (no past-the-end
+/// touch).
 inline size_t FindAmp(std::string_view text, size_t pos) {
   const char* data = text.data();
   const size_t size = text.size();
@@ -125,8 +126,7 @@ struct EntityMatch {
 /// &quot;) at `amp`, which must index a '&' in `text`. One unaligned
 /// load + masked compares instead of five string comparisons; the load
 /// is memcpy-guarded by the remaining length, so a truncated reference
-/// at the buffer tail (or an mmap page end) reads only what exists and
-/// simply fails to match.
+/// at the buffer end reads only what exists and simply fails to match.
 inline EntityMatch MatchNamedEntity(std::string_view text, size_t amp) {
   const size_t avail = text.size() - amp - 1;  // bytes after the '&'
   const char* p = text.data() + amp + 1;

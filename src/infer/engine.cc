@@ -2,12 +2,13 @@
 
 #include <utility>
 
+#include "io/input_buffer.h"
+
 namespace condtd {
 
 IngestEngine::IngestEngine(Options options) : options_(std::move(options)) {
   if (options_.jobs != 1) {
     parallel_.emplace(options_.inference, options_.jobs);
-    parallel_->set_input_options(options_.input);
   } else {
     sequential_.emplace(options_.inference);
   }
@@ -24,12 +25,12 @@ void IngestEngine::AddFile(const std::string& path) {
     parallel_->AddFile(path);
     return;
   }
-  Result<InputBuffer> content = InputBuffer::Open(path, options_.input);
+  Result<std::string> content = ReadDocument(path);
   if (!content.ok()) {
     errors_.push_back({index, content.status()});
     return;
   }
-  Status status = sequential_->folder.AddXml(content->view());
+  Status status = sequential_->folder.AddXml(*content);
   if (!status.ok()) errors_.push_back({index, status});
 }
 

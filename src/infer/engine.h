@@ -11,7 +11,6 @@
 #include "infer/inferrer.h"
 #include "infer/parallel.h"
 #include "infer/streaming.h"
-#include "io/input_buffer.h"
 
 namespace condtd {
 
@@ -35,7 +34,6 @@ class IngestEngine {
  public:
   struct Options {
     InferenceOptions inference;
-    InputBuffer::Options input;
     /// 1 = sequential fold; anything else = sharded scheduler
     /// (0 = hardware concurrency, as in ParallelDtdInferrer).
     int jobs = 1;
@@ -52,8 +50,9 @@ class IngestEngine {
   /// (Section 9 incremental pipelines). Call before adding documents.
   Status LoadState(std::string_view state);
 
-  /// Enqueues one document by path; the engine performs the (hardened)
-  /// open itself — worker-side in sharded mode, inline sequentially.
+  /// Enqueues one document by path; the engine reads it itself through
+  /// ReadDocument (io/input_buffer.h) — worker-side in sharded mode,
+  /// inline sequentially.
   void AddFile(const std::string& path);
 
   /// Enqueues one document given as text (copied in sharded mode).

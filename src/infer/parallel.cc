@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <exception>
 #include <string>
+#include <utility>
 
+#include "io/input_buffer.h"
 #include "obs/metrics.h"
 
 namespace condtd {
@@ -107,22 +109,19 @@ void ParallelDtdInferrer::Worker(Shard* shard) {
 void ParallelDtdInferrer::ProcessBatch(Shard* shard, Batch* batch) {
   for (const WorkItem& item : batch->items) {
     std::string_view xml = item.text;
-    InputBuffer buffer;
+    std::string content;
     Status status;
     bool opened = true;
     if (item.is_path) {
-      // Worker-side open: this is what overlaps file I/O with parsing —
-      // while this worker faults pages in, the others keep folding.
-      obs::StageSpan io_span(obs::Stage::kIoRead);
-      Result<InputBuffer> open =
-          InputBuffer::Open(std::string(item.text), input_options_);
-      if (open.ok()) {
-        buffer = std::move(open).value();
-        xml = buffer.view();
+      // Worker-side read: this is what overlaps file I/O with parsing —
+      // while this worker waits on the read, the others keep folding.
+      Result<std::string> read = ReadDocument(std::string(item.text));
+      if (read.ok()) {
+        content = std::move(read).value();
+        xml = content;
       } else {
-        status = open.status();
+        status = read.status();
         opened = false;
-        obs::CounterAdd(obs::Counter::kDocumentsFailed, 1);
       }
     }
     // Parse + fold without any lock — the hot path touches only

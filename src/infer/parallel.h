@@ -18,7 +18,6 @@
 #include "dtd/model.h"
 #include "infer/inferrer.h"
 #include "infer/streaming.h"
-#include "io/input_buffer.h"
 
 namespace condtd {
 
@@ -30,8 +29,8 @@ namespace condtd {
 /// workers claim from a Chase-Lev-style work-stealing deque — one
 /// hand-off per batch instead of per document, which is what lets
 /// tiny-document corpora scale. `AddFile` enqueues just the path, so
-/// the claiming worker performs the mmap/read itself and file I/O
-/// overlaps parsing across the pool. `Finish()` is the barrier: it
+/// the claiming worker reads the file itself and file I/O overlaps
+/// parsing across the pool. `Finish()` is the barrier: it
 /// dispatches the partial batch, joins the pool and combines the shards
 /// with a pairwise merge tree; per-element inference then fans the
 /// independent `LearnRegex` calls back out across the same thread
@@ -69,12 +68,6 @@ class ParallelDtdInferrer {
 
   int num_threads() const { return num_threads_; }
 
-  /// How workers open documents enqueued with AddFile (mmap threshold,
-  /// --no-mmap). Set before the first AddFile call.
-  void set_input_options(const InputBuffer::Options& options) {
-    input_options_ = options;
-  }
-
   /// Enqueues one XML document for ingestion by the pool (bytes are
   /// copied into the staging batch's arena). Parse failures do not stop
   /// the pipeline; they surface in errors() after Finish(), keyed by
@@ -82,14 +75,14 @@ class ParallelDtdInferrer {
   void AddXml(std::string_view xml);
 
   /// Zero-copy variant of AddXml: the caller guarantees `xml` stays
-  /// valid and unchanged until Finish() returns (e.g. an mmap'd corpus
-  /// or a resident benchmark corpus).
+  /// valid and unchanged until Finish() returns (e.g. a resident
+  /// benchmark corpus).
   void AddBorrowedXml(std::string_view xml);
 
   /// Enqueues a document by path. The worker that claims the batch
-  /// opens it (mmap or buffered read per set_input_options), so file
-  /// I/O overlaps parsing on the other workers. Open failures surface
-  /// in errors() exactly like parse failures.
+  /// reads it (ReadDocument, io/input_buffer.h), so file I/O overlaps
+  /// parsing on the other workers. Read failures surface in errors()
+  /// exactly like parse failures.
   void AddFile(std::string_view path);
 
   /// Loads a previously saved summary state into the merge target (the
@@ -196,7 +189,6 @@ class ParallelDtdInferrer {
   InferenceOptions options_;
   int num_threads_;
   DtdInferrer merged_;
-  InputBuffer::Options input_options_;
 
   /// Producer-owned staging batch; published when full.
   std::unique_ptr<Batch> pending_;

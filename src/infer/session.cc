@@ -23,18 +23,6 @@ Status IngestSession::Ingest(std::string_view xml) {
   return Status::OK();
 }
 
-Status IngestSession::IngestFile(const std::string& path,
-                                 const InputBuffer::Options& input) {
-  // The open happens outside the lock (it can fault in pages); only the
-  // parse-and-fold needs the session serialized.
-  Result<InputBuffer> content = InputBuffer::Open(path, input);
-  if (!content.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    return content.status();
-  }
-  return Ingest(content->view());
-}
-
 Status IngestSession::LoadState(std::string_view state) {
   std::lock_guard<std::mutex> lock(mu_);
   // Flush first so the cached weighted folds of earlier documents land

@@ -10,7 +10,6 @@
 #include "base/status.h"
 #include "infer/inferrer.h"
 #include "infer/streaming.h"
-#include "io/input_buffer.h"
 
 namespace condtd {
 
@@ -49,11 +48,6 @@ class IngestSession {
   /// Parses and folds one document through the streaming SAX fold. On
   /// error the document contributes nothing. Thread-safe.
   Status Ingest(std::string_view xml);
-
-  /// Opens `path` (hardened InputBuffer: regular files only) and
-  /// ingests its content. Thread-safe.
-  Status IngestFile(const std::string& path,
-                    const InputBuffer::Options& input);
 
   /// Merges a previously saved summary state (journal recovery, shard
   /// adoption). Counts as one epoch step. Thread-safe.

@@ -5,126 +5,29 @@
 #include "base/file.h"
 #include "obs/metrics.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CONDTD_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 namespace condtd {
 
-InputBuffer::~InputBuffer() { Release(); }
-
-InputBuffer::InputBuffer(InputBuffer&& other) noexcept
-    : view_(other.view_),
-      owned_(std::move(other.owned_)),
-      mapped_(other.mapped_),
-      mapped_bytes_(other.mapped_bytes_) {
-  other.mapped_ = nullptr;
-  other.mapped_bytes_ = 0;
-  other.view_ = std::string_view();
-  // Re-anchor owned views: a small-string move copies bytes (SSO)
-  // instead of transferring the heap buffer, so the old view may
-  // dangle.
-  if (mapped_ == nullptr) view_ = owned_;
-}
-
-InputBuffer& InputBuffer::operator=(InputBuffer&& other) noexcept {
-  if (this == &other) return *this;
-  Release();
-  view_ = other.view_;
-  owned_ = std::move(other.owned_);
-  mapped_ = other.mapped_;
-  mapped_bytes_ = other.mapped_bytes_;
-  other.mapped_ = nullptr;
-  other.mapped_bytes_ = 0;
-  other.view_ = std::string_view();
-  if (mapped_ == nullptr) view_ = owned_;
-  return *this;
-}
-
-void InputBuffer::Release() {
-#ifdef CONDTD_HAVE_MMAP
-  if (mapped_ != nullptr) {
-    ::munmap(mapped_, mapped_bytes_);
-    mapped_ = nullptr;
-    mapped_bytes_ = 0;
+Result<std::string> ReadDocument(const std::string& path) {
+  obs::StageSpan io_span(obs::Stage::kIoRead);
+  Result<std::string> content = ReadFileToString(path);
+  if (content.ok()) {
+    obs::CounterAdd(obs::Counter::kFilesRead, 1);
+  } else {
+    obs::CounterAdd(obs::Counter::kDocumentsFailed, 1);
   }
-#endif
+  return content;
+}
+
+Result<InputBuffer> InputBuffer::Open(const std::string& path) {
+  Result<std::string> content = ReadFileToString(path);
+  if (!content.ok()) return content.status();
+  return FromString(std::move(content).value());
 }
 
 InputBuffer InputBuffer::FromString(std::string content) {
   InputBuffer buffer;
-  buffer.owned_ = std::move(content);
-  buffer.view_ = buffer.owned_;
+  buffer.content_ = std::move(content);
   return buffer;
-}
-
-Result<InputBuffer> InputBuffer::Open(const std::string& path,
-                                      const Options& options) {
-#ifdef CONDTD_HAVE_MMAP
-  if (options.allow_mmap) {
-    // O_NONBLOCK so that open() can never hang on a writer-less FIFO —
-    // the daemon receives arbitrary client paths. For regular files the
-    // flag is a no-op.
-    int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
-    if (fd < 0) {
-      return Status::NotFound("cannot open file: " + path);
-    }
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      return Status::InvalidArgument("error while reading: " + path);
-    }
-    // Only regular files reach the mapping or buffered-read paths;
-    // everything else gets a crisp error instead of a hang (FIFO) or a
-    // confusing read failure (directory, device, socket).
-    if (S_ISDIR(st.st_mode)) {
-      ::close(fd);
-      return Status::InvalidArgument("is a directory: " + path);
-    }
-    if (!S_ISREG(st.st_mode)) {
-      ::close(fd);
-      return Status::InvalidArgument(
-          "not a regular file (fifo/device/socket): " + path);
-    }
-    // mmap with length 0 is EINVAL, so empty files always take the
-    // buffered path regardless of the threshold.
-    const bool mappable = st.st_size > 0 &&
-                          static_cast<size_t>(st.st_size) >=
-                              options.min_mmap_bytes;
-    if (mappable) {
-      void* base = ::mmap(nullptr, static_cast<size_t>(st.st_size),
-                          PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (base == MAP_FAILED) {
-        return Status::InvalidArgument("error while reading: " + path);
-      }
-#ifdef MADV_SEQUENTIAL
-      // Single forward pass: tell the kernel to read ahead aggressively
-      // and drop pages behind the scan.
-      ::madvise(base, static_cast<size_t>(st.st_size), MADV_SEQUENTIAL);
-#endif
-      InputBuffer buffer;
-      buffer.mapped_ = base;
-      buffer.mapped_bytes_ = static_cast<size_t>(st.st_size);
-      buffer.view_ = std::string_view(static_cast<const char*>(base),
-                                      buffer.mapped_bytes_);
-      obs::SchedAdd(obs::SchedCounter::kMmapReads, 1);
-      return buffer;
-    }
-    ::close(fd);
-    // A regular file too small to be worth mapping: fall through to the
-    // buffered path below (which re-checks the file class itself, for
-    // the no-mmap and no-MMU configurations).
-  }
-#endif
-  Result<std::string> content = ReadFileToString(path);
-  if (!content.ok()) return content.status();
-  obs::SchedAdd(obs::SchedCounter::kBufferedReads, 1);
-  return FromString(std::move(content).value());
 }
 
 }  // namespace condtd

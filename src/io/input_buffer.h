@@ -8,64 +8,36 @@
 
 namespace condtd {
 
-/// Zero-copy document input. For regular files above a small threshold
-/// the content is mmap'd read-only (with MADV_SEQUENTIAL, since the
-/// lexer makes exactly one forward pass) and `view()` aliases the
-/// mapping — the kernel's page cache is the only copy of the bytes.
-/// Pipes, character devices, tiny files, and platforms without mmap
-/// fall back to an owned buffered read. Either way the lexer receives a
-/// `string_view`, so the rest of the pipeline is oblivious to the
-/// source.
-///
-/// Movable, not copyable; the mapping (or buffer) lives as long as the
-/// InputBuffer, so views derived from `view()` must not outlive it.
+/// Reads one corpus document for the ingestion pipeline: the whole file
+/// through ReadFileToString (base/file.h), timed as the io_read stage
+/// and counted as files_read, or as documents_failed when the open or
+/// read fails. IngestEngine's sequential AddFile and
+/// ParallelDtdInferrer's workers both read files here, so `--stats`
+/// reports the same failures and io_read spans at every `--jobs` value.
+Result<std::string> ReadDocument(const std::string& path);
+
+/// An owned document buffer: the bytes of one file (read whole through
+/// ReadFileToString) or of a caller's string, exposed as a
+/// `string_view` for the lexer. Movable; views derived from `view()`
+/// must not outlive the InputBuffer.
 class InputBuffer {
  public:
-  struct Options {
-    /// Disable mmap and always take the buffered-read path (--no-mmap).
-    bool allow_mmap = true;
-    /// Regular files below this size are cheaper to read() than to map
-    /// (page-table setup plus a TLB-miss per page beats one small copy).
-    size_t min_mmap_bytes = 16 * 1024;
-  };
-
-  InputBuffer() = default;
-  ~InputBuffer();
-
-  InputBuffer(InputBuffer&& other) noexcept;
-  InputBuffer& operator=(InputBuffer&& other) noexcept;
-  InputBuffer(const InputBuffer&) = delete;
-  InputBuffer& operator=(const InputBuffer&) = delete;
-
-  /// Opens `path` and makes its full content available through
-  /// `view()`. Error statuses match ReadFileToString ("cannot open
-  /// file: <path>" / "error while reading: <path>") so CLI output is
-  /// unchanged by the input-layer swap. Only regular files are
-  /// accepted: directories, FIFOs, devices and sockets fail with a
-  /// clear InvalidArgument (opened O_NONBLOCK, so a writer-less FIFO
-  /// can never hang the caller — the serve daemon passes
-  /// client-supplied paths straight here).
-  static Result<InputBuffer> Open(const std::string& path,
-                                  const Options& options);
-  static Result<InputBuffer> Open(const std::string& path) {
-    return Open(path, Options());
-  }
+  /// Reads `path` whole. Errors are ReadFileToString's: "cannot open
+  /// file", "is a directory", "not a regular file", "error while
+  /// reading".
+  static Result<InputBuffer> Open(const std::string& path);
 
   /// Wraps an already-owned string (stdin slurp, tests).
   static InputBuffer FromString(std::string content);
 
   /// The document bytes. Valid for the lifetime of this InputBuffer.
-  std::string_view view() const { return view_; }
+  std::string_view view() const { return content_; }
 
-  bool is_mapped() const { return mapped_ != nullptr; }
+  /// Always false: every file is read into an owned buffer.
+  bool is_mapped() const { return false; }
 
  private:
-  void Release();
-
-  std::string_view view_;
-  std::string owned_;          ///< buffered-read / FromString storage
-  void* mapped_ = nullptr;     ///< mmap base (non-null iff mapped)
-  size_t mapped_bytes_ = 0;
+  std::string content_;
 };
 
 }  // namespace condtd

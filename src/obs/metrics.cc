@@ -15,11 +15,11 @@ constexpr std::array<std::string_view,
                      static_cast<size_t>(Counter::kNumCounters)>
     kCounterNames = {
         "bytes_ingested",      "documents_ingested", "documents_failed",
-        "start_tags",          "text_events",        "attributes_seen",
-        "entity_decodes",      "words_folded",       "child_word_folds",
-        "rewrite_applications", "repair_disjunctions", "repair_optionals",
-        "repair_fallbacks",    "noisy_edges_dropped", "crx_infer_calls",
-        "crx_factors",         "elements_learned",
+        "files_read",          "start_tags",         "text_events",
+        "attributes_seen",     "entity_decodes",     "words_folded",
+        "child_word_folds",    "rewrite_applications", "repair_disjunctions",
+        "repair_optionals",    "repair_fallbacks",   "noisy_edges_dropped",
+        "crx_infer_calls",     "crx_factors",        "elements_learned",
 };
 
 constexpr std::array<std::string_view,
@@ -28,8 +28,7 @@ constexpr std::array<std::string_view,
         "dedup_cache_hits", "dedup_cache_misses", "dedup_flushes",
         "weighted_fold_ops", "shard_merges",      "summary_merges",
         "worker_exceptions", "batches_dispatched", "batch_steals",
-        "mmap_reads",        "buffered_reads",     "dedup_probe_steps",
-        "dense_fold_hits",   "dense_fold_fallbacks",
+        "dedup_probe_steps", "dense_fold_hits",   "dense_fold_fallbacks",
         "serve_ingest_requests", "serve_query_requests",
         "serve_query_cache_hits", "serve_request_errors",
         "journal_appends", "journal_replayed_docs", "snapshots_written",

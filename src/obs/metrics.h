@@ -44,7 +44,8 @@ namespace obs {
 enum class Counter : int {
   kBytesIngested = 0,     ///< raw XML bytes handed to an ingestion driver
   kDocumentsIngested,     ///< documents folded cleanly
-  kDocumentsFailed,       ///< documents rejected (parse error or exception)
+  kDocumentsFailed,       ///< documents rejected (read/parse error, exception)
+  kFilesRead,             ///< corpus documents read from files (ReadDocument)
   kStartTags,             ///< SAX start-element events lexed
   kTextEvents,            ///< SAX significant-text events lexed
   kAttributesSeen,        ///< attributes lexed on start tags
@@ -75,8 +76,6 @@ enum class SchedCounter : int {
   kWorkerExceptions,    ///< exceptions contained by the worker pool
   kBatchesDispatched,   ///< work batches published by the producer
   kBatchSteals,         ///< batches claimed from the work-stealing deque
-  kMmapReads,           ///< documents opened through an mmap InputBuffer
-  kBufferedReads,       ///< documents opened through the buffered fallback
   kDedupProbeSteps,     ///< flat dedup-cache probe-loop iterations
   kDenseFoldHits,       ///< summary folds taken through the dense kernels
   kDenseFoldFallbacks,  ///< summary folds above the dense-ID window
@@ -110,7 +109,7 @@ enum class Gauge : int {
 /// (span placement differs between the DOM and streaming drivers, and
 /// flush timing is shard-local).
 enum class Stage : int {
-  kIoRead = 0,      ///< document input (mmap setup or buffered read)
+  kIoRead = 0,      ///< document input (one whole-file read)
   kLexParse,        ///< per-document parse (+ in-stream fold for SAX)
   kEntityDecode,    ///< XML entity decoding runs
   kWordFold,        ///< ElementSummary::AddChildWord (whole fold)

@@ -135,7 +135,6 @@ Status Corpus::RecoverLocked() {
   // byte-identical at any job count).
   IngestEngine::Options engine_options;
   engine_options.inference = options_.inference;
-  engine_options.input = options_.input;
   engine_options.jobs = options_.replay_jobs;
   IngestEngine engine(engine_options);
 
@@ -236,12 +235,6 @@ Status Corpus::Ingest(std::string_view doc) {
   std::lock_guard<std::mutex> lock(stats_mu_);
   ingest_latency_.Record(NowNs() - start_ns);
   return status;
-}
-
-Status Corpus::IngestFile(const std::string& path) {
-  Result<std::string> content = ReadFileToString(path);
-  if (!content.ok()) return content.status();
-  return Ingest(*content);
 }
 
 Result<std::string> Corpus::Query(const std::string& algorithm, bool xsd) {

@@ -10,7 +10,6 @@
 #include "base/status.h"
 #include "infer/inferrer.h"
 #include "infer/session.h"
-#include "io/input_buffer.h"
 #include "serve/journal.h"
 #include "serve/latency.h"
 
@@ -56,7 +55,6 @@ class Corpus {
  public:
   struct Options {
     InferenceOptions inference;
-    InputBuffer::Options input;
     /// Daemon data directory; this corpus persists under
     /// `<data_dir>/<id>/`. Empty = ephemeral (no journal, no snapshots).
     std::string data_dir;
@@ -91,9 +89,6 @@ class Corpus {
   /// and freeze further ingestion until a snapshot re-establishes
   /// durability).
   Status Ingest(std::string_view doc);
-
-  /// Reads `path` server-side (hardened open) and ingests it.
-  Status IngestFile(const std::string& path);
 
   /// Learns a schema from a consistent snapshot of the current state.
   /// `algorithm` overrides the corpus learner by registry name (empty =

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "base/file.h"
 #include "base/strings.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -537,7 +538,17 @@ Result<std::string> Server::HandleIngest(
     Result<std::shared_ptr<Corpus>> opened = registry_.GetOrCreate(corpus_id);
     if (!opened.ok()) return opened.status();
     corpus = std::move(*opened);
-    CONDTD_RETURN_IF_ERROR(corpus->IngestFile(path));
+    // The INLINE cap bounds PATH documents too; the reader checks it on
+    // the opened file's size before allocating anything.
+    Result<std::string> doc = ReadFileToString(
+        path, static_cast<size_t>(options_.max_inline_bytes));
+    if (doc.status().code() == StatusCode::kResourceExhausted) {
+      return Status::InvalidArgument(
+          "PATH document " + path + " exceeds --max-inline-bytes=" +
+          std::to_string(options_.max_inline_bytes));
+    }
+    if (!doc.ok()) return doc.status();
+    CONDTD_RETURN_IF_ERROR(corpus->Ingest(*doc));
   } else {
     return Status::InvalidArgument("unknown INGEST mode " + mode +
                                    " (want INLINE or PATH)");

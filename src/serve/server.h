@@ -37,9 +37,11 @@ struct ServerOptions {
   /// one worker for its lifetime; cross-corpus requests on different
   /// connections run concurrently.
   int workers = 4;
-  /// Reject INGEST ... INLINE payloads longer than this. Bounds the
-  /// per-request allocation a client can force; oversized announcements
-  /// are drained in fixed-size chunks, never buffered.
+  /// Reject any ingested document longer than this, INLINE or PATH.
+  /// Bounds the per-request allocation a client can force: oversized
+  /// INLINE announcements are drained in fixed-size chunks, never
+  /// buffered, and PATH files are refused on their size before any
+  /// read.
   int64_t max_inline_bytes = int64_t{1} << 28;  // 256 MiB
   /// Evict a corpus idle for this many seconds (0 = never; durable
   /// registries only). See CorpusRegistry::Options.

@@ -2,6 +2,7 @@
 // subcommand is exercised end to end through a real process. The binary
 // path is injected by CMake (CONDTD_CLI_PATH).
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -235,6 +236,40 @@ TEST_F(CliTest, MissingFileFails) {
   CommandResult result = RunCli("infer /nonexistent/x.xml");
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.output.find("NotFound"), std::string::npos);
+}
+
+TEST_F(CliTest, NoMmapIsAnUnknownFlag) {
+  // Every file is read through the one buffered reader; the flag that
+  // chose between two read paths is gone.
+  CommandResult result = RunCli("infer --no-mmap " + xml1_);
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("unknown flag"), std::string::npos)
+      << result.output;
+}
+
+TEST_F(CliTest, HugeSparseFileIsAnErrorNotAnAbort) {
+  // A 1 TiB sparse file (no data written) is more than any buffer can
+  // hold: infer must report it as a failed document and exit 1 at every
+  // --jobs value, never abort on std::bad_alloc.
+  std::string path = TempPath("huge_sparse.xml");
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  ASSERT_GE(fd, 0);
+  const int rc = ::ftruncate(fd, off_t{1} << 40);
+  ::close(fd);
+  if (rc != 0) {
+    std::remove(path.c_str());
+    GTEST_SKIP() << "filesystem refuses a sparse file this big";
+  }
+  for (const char* jobs : {"1", "2"}) {
+    CommandResult result =
+        RunCli("infer --jobs=" + std::string(jobs) + " " + path);
+    EXPECT_EQ(result.exit_code, 1) << "--jobs=" << jobs << "\n"
+                                   << result.output;
+    EXPECT_NE(result.output.find("ResourceExhausted"), std::string::npos)
+        << "--jobs=" << jobs << "\n"
+        << result.output;
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(CliTest, RejectsInvalidJobs) {

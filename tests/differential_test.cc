@@ -264,13 +264,12 @@ constexpr char kGoldenUnorderedIdtd[] =
     "<!ELEMENT vendor EMPTY>\n";
 
 // File-based ingestion through the batch engine — the path the CLI
-// takes — with and without mmap.
+// takes.
 Result<std::string> EngineDtdFromFiles(const std::vector<std::string>& paths,
-                                       const std::string& learner, int jobs,
-                                       bool allow_mmap) {
+                                       const std::string& learner,
+                                       int jobs) {
   IngestEngine::Options options;
   options.inference.learner = learner;
-  options.input.allow_mmap = allow_mmap;
   options.jobs = jobs;
   IngestEngine engine(options);
   for (const std::string& path : paths) engine.AddFile(path);
@@ -281,24 +280,19 @@ Result<std::string> EngineDtdFromFiles(const std::vector<std::string>& paths,
   return WriteDtd(dtd.value(), *engine.inferrer().alphabet());
 }
 
-// The ISSUE's acceptance bar: on the unordered corpus, isore emits an
+// The isore acceptance bar: on the unordered corpus, isore emits an
 // `&`-factor content model strictly more concise than the idtd SORE on
-// the same input — stable across mmap/no-mmap and jobs 1/2/7.
+// the same input — stable across jobs 1/2/7.
 TEST(Differential, UnorderedCorpusIsoreConcisenessWin) {
   std::vector<std::string> paths = UnorderedCorpusPaths();
   for (int jobs : {1, 2, 7}) {
-    for (bool mmap : {true, false}) {
-      std::string label =
-          "jobs=" + std::to_string(jobs) + (mmap ? " mmap" : " no-mmap");
-      Result<std::string> isore =
-          EngineDtdFromFiles(paths, "isore", jobs, mmap);
-      ASSERT_TRUE(isore.ok()) << label << ": " << isore.status().ToString();
-      EXPECT_EQ(isore.value(), kGoldenUnorderedIsore) << label;
-      Result<std::string> idtd =
-          EngineDtdFromFiles(paths, "idtd", jobs, mmap);
-      ASSERT_TRUE(idtd.ok()) << label << ": " << idtd.status().ToString();
-      EXPECT_EQ(idtd.value(), kGoldenUnorderedIdtd) << label;
-    }
+    std::string label = "jobs=" + std::to_string(jobs);
+    Result<std::string> isore = EngineDtdFromFiles(paths, "isore", jobs);
+    ASSERT_TRUE(isore.ok()) << label << ": " << isore.status().ToString();
+    EXPECT_EQ(isore.value(), kGoldenUnorderedIsore) << label;
+    Result<std::string> idtd = EngineDtdFromFiles(paths, "idtd", jobs);
+    ASSERT_TRUE(idtd.ok()) << label << ": " << idtd.status().ToString();
+    EXPECT_EQ(idtd.value(), kGoldenUnorderedIdtd) << label;
   }
 
   // "Strictly more concise", stated on the parsed content models rather
@@ -322,7 +316,7 @@ TEST(Differential, UnorderedCorpusIsoreConcisenessWin) {
 // The sire learner factors the same corpus with CHARE factors.
 TEST(Differential, UnorderedCorpusSireEmitsShuffle) {
   Result<std::string> sire =
-      EngineDtdFromFiles(UnorderedCorpusPaths(), "sire", 1, true);
+      EngineDtdFromFiles(UnorderedCorpusPaths(), "sire", 1);
   ASSERT_TRUE(sire.ok()) << sire.status().ToString();
   EXPECT_NE(sire.value().find(" & "), std::string::npos) << sire.value();
 }

@@ -5,9 +5,8 @@
 //
 // The seed corpus stresses what the SWAR path changes: mixed multi-byte
 // UTF-8 around entities, truncated references, and '&' at the buffer
-// tail (the memcpy-guarded loads must not read past the end — under
-// ASan/libFuzzer the input buffer edge stands in for an mmap page
-// boundary).
+// tail (the memcpy-guarded loads must not read past the buffer end,
+// which ASan/libFuzzer place at the edge of the allocation).
 
 #include <cstddef>
 #include <cstdint>

@@ -1,21 +1,21 @@
-// InputBuffer: the mmap-backed zero-copy input layer and its buffered
-// fallback. The load-bearing test is the differential one — both paths
-// must hand the pipeline the exact same bytes and so the exact same
-// DTD, which is what lets the CLI pick a path per file (size threshold,
-// --no-mmap) without affecting output.
+// The one file reader (ReadFileToString) and the InputBuffer handle
+// over it: exact bytes for regular files of any size, crisp errors (and
+// never a hang) for everything else, and the size cap the daemon puts
+// on client paths.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "base/file.h"
-#include "dtd/dtd_writer.h"
-#include "infer/inferrer.h"
 #include "io/input_buffer.h"
 
 namespace condtd {
@@ -43,70 +43,30 @@ class TempFile {
   std::string path_;
 };
 
-std::string LargeDocument() {
-  // Comfortably above the 16 KiB mmap threshold.
-  std::string xml = "<feed>";
-  for (int i = 0; i < 2000; ++i) {
-    xml += "<entry id=\"e" + std::to_string(i) +
-           "\"><title>entry number " + std::to_string(i) +
-           " with some text</title><author>someone</author></entry>";
+TEST(InputBuffer, FileLargerThanOneReadRoundTripsExactly) {
+  // A file much larger than one page, with every byte value, so a
+  // dropped or misplaced byte cannot go unnoticed.
+  std::string content;
+  for (int i = 0; i < 200 * 1024; ++i) {
+    content.push_back(static_cast<char>((i * 131 + i / 251) & 0xff));
   }
-  xml += "</feed>";
-  return xml;
-}
-
-TEST(InputBuffer, LargeRegularFileIsMapped) {
-  std::string content = LargeDocument();
   TempFile file(content);
+  Result<std::string> read = ReadFileToString(file.path());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, content);
   Result<InputBuffer> buffer = InputBuffer::Open(file.path());
-  ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
-  EXPECT_TRUE(buffer->is_mapped());
-  EXPECT_EQ(buffer->view(), content);
-}
-
-TEST(InputBuffer, SmallFileTakesTheBufferedPath) {
-  std::string content = "<root><a/><b/></root>";
-  TempFile file(content);
-  Result<InputBuffer> buffer = InputBuffer::Open(file.path());
-  ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
-  EXPECT_FALSE(buffer->is_mapped());  // below min_mmap_bytes
-  EXPECT_EQ(buffer->view(), content);
-}
-
-TEST(InputBuffer, NoMmapOptionForcesBufferedRead) {
-  std::string content = LargeDocument();
-  TempFile file(content);
-  InputBuffer::Options options;
-  options.allow_mmap = false;
-  Result<InputBuffer> buffer = InputBuffer::Open(file.path(), options);
   ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
   EXPECT_FALSE(buffer->is_mapped());
   EXPECT_EQ(buffer->view(), content);
 }
 
-TEST(InputBuffer, ThresholdZeroMapsEvenTinyFiles) {
-  std::string content = "<root/>";
-  TempFile file(content);
-  InputBuffer::Options options;
-  options.min_mmap_bytes = 0;
-  Result<InputBuffer> buffer = InputBuffer::Open(file.path(), options);
-  ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
-  EXPECT_TRUE(buffer->is_mapped());
-  EXPECT_EQ(buffer->view(), content);
-}
-
 TEST(InputBuffer, EmptyFileYieldsEmptyView) {
-  // mmap of length 0 is invalid; the open path must special-case it on
-  // both routes.
+  // st_size == 0 also sends the reader down its read-to-EOF loop, which
+  // must stop at once on a genuinely empty file.
   TempFile file("");
-  for (bool allow_mmap : {true, false}) {
-    InputBuffer::Options options;
-    options.allow_mmap = allow_mmap;
-    options.min_mmap_bytes = 0;
-    Result<InputBuffer> buffer = InputBuffer::Open(file.path(), options);
-    ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
-    EXPECT_TRUE(buffer->view().empty());
-  }
+  Result<InputBuffer> buffer = InputBuffer::Open(file.path());
+  ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
+  EXPECT_TRUE(buffer->view().empty());
 }
 
 TEST(InputBuffer, MissingFileKeepsTheLegacyErrorMessage) {
@@ -128,40 +88,11 @@ TEST(InputBuffer, MoveTransfersTheView) {
   target = std::move(moved);
   EXPECT_EQ(target.view(), content);
 
-  // Owned (small-string) content must survive the move too — the view
-  // has to re-anchor onto the moved-to string storage.
+  // Small-string content must survive the move too: the view reads the
+  // moved-to string storage, not the old one.
   InputBuffer from_string = InputBuffer::FromString("tiny");
   InputBuffer moved_string = std::move(from_string);
   EXPECT_EQ(moved_string.view(), "tiny");
-}
-
-TEST(InputBuffer, MmapAndBufferedProduceByteIdenticalDtds) {
-  // The differential contract: a corpus read through mmap and the same
-  // corpus read through the buffered fallback must infer byte-identical
-  // DTDs. Mixed sizes so both paths are actually exercised in the mmap
-  // configuration.
-  TempFile large_a(LargeDocument());
-  TempFile small(
-      "<feed><entry id=\"x\"><title>small</title><author>a</author>"
-      "</entry></feed>");
-  TempFile large_b(LargeDocument());
-  const TempFile* files[] = {&large_a, &small, &large_b};
-
-  auto infer = [&](bool allow_mmap) {
-    InputBuffer::Options options;
-    options.allow_mmap = allow_mmap;
-    DtdInferrer inferrer;
-    for (const TempFile* file : files) {
-      Result<InputBuffer> buffer =
-          InputBuffer::Open(file->path(), options);
-      EXPECT_TRUE(buffer.ok()) << buffer.status().ToString();
-      EXPECT_TRUE(inferrer.AddXml(buffer->view()).ok());
-    }
-    Result<Dtd> dtd = inferrer.InferDtd();
-    EXPECT_TRUE(dtd.ok()) << dtd.status().ToString();
-    return WriteDtd(dtd.value(), *inferrer.alphabet());
-  };
-  EXPECT_EQ(infer(/*allow_mmap=*/true), infer(/*allow_mmap=*/false));
 }
 
 // Non-regular inputs: the daemon hands client-supplied paths straight
@@ -170,16 +101,12 @@ TEST(InputBuffer, MmapAndBufferedProduceByteIdenticalDtds) {
 // writer hangs a naive open(O_RDONLY) forever).
 
 TEST(InputBuffer, DirectoryIsRejected) {
-  for (bool allow_mmap : {true, false}) {
-    InputBuffer::Options options;
-    options.allow_mmap = allow_mmap;
-    Result<InputBuffer> buffer = InputBuffer::Open("/tmp", options);
-    ASSERT_FALSE(buffer.ok());
-    EXPECT_EQ(buffer.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(buffer.status().message().find("is a directory"),
-              std::string::npos)
-        << buffer.status().ToString();
-  }
+  Result<InputBuffer> buffer = InputBuffer::Open("/tmp");
+  ASSERT_FALSE(buffer.ok());
+  EXPECT_EQ(buffer.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(buffer.status().message().find("is a directory"),
+            std::string::npos)
+      << buffer.status().ToString();
   Result<std::string> content = ReadFileToString("/tmp");
   ASSERT_FALSE(content.ok());
   EXPECT_EQ(content.status().code(), StatusCode::kInvalidArgument);
@@ -191,16 +118,12 @@ TEST(InputBuffer, FifoIsRejectedWithoutBlocking) {
   ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
   // No writer exists: if the implementation opened the FIFO with a
   // plain blocking open this test would hang, not fail.
-  for (bool allow_mmap : {true, false}) {
-    InputBuffer::Options options;
-    options.allow_mmap = allow_mmap;
-    Result<InputBuffer> buffer = InputBuffer::Open(path, options);
-    ASSERT_FALSE(buffer.ok());
-    EXPECT_EQ(buffer.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(buffer.status().message().find("not a regular file"),
-              std::string::npos)
-        << buffer.status().ToString();
-  }
+  Result<InputBuffer> buffer = InputBuffer::Open(path);
+  ASSERT_FALSE(buffer.ok());
+  EXPECT_EQ(buffer.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(buffer.status().message().find("not a regular file"),
+            std::string::npos)
+      << buffer.status().ToString();
   Result<std::string> content = ReadFileToString(path);
   ASSERT_FALSE(content.ok());
   EXPECT_EQ(content.status().code(), StatusCode::kInvalidArgument);
@@ -226,6 +149,45 @@ TEST(InputBuffer, ProcfsZeroSizeFileIsReadInFull) {
   Result<InputBuffer> buffer = InputBuffer::Open("/proc/self/status");
   ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
   EXPECT_NE(buffer->view().find("Name:"), std::string_view::npos);
+
+  // Their size says nothing, so the read-to-EOF loop enforces the cap.
+  Result<std::string> capped = ReadFileToString("/proc/self/status", 16);
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(InputBuffer, SizeCapIsCheckedBeforeReading) {
+  // The daemon caps PATH documents with this bound: a file above it
+  // fails on its size, at the cap it reads in full.
+  TempFile file(std::string(4096, 'x'));
+  Result<std::string> over = ReadFileToString(file.path(), 1024);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  Result<std::string> at = ReadFileToString(file.path(), 4096);
+  ASSERT_TRUE(at.ok()) << at.status().ToString();
+  EXPECT_EQ(at->size(), 4096u);
+}
+
+TEST(InputBuffer, SparseFileLargerThanMemoryIsAnErrorNotAnAbort) {
+  // A sparse file costs no disk but claims more bytes than the machine
+  // has: the reader must refuse it with an error, not let a failed (or,
+  // under overcommit, a zero-filled) allocation take the process down.
+  TempFile file("");
+  const int64_t phys = static_cast<int64_t>(sysconf(_SC_PHYS_PAGES)) *
+                       static_cast<int64_t>(sysconf(_SC_PAGESIZE));
+  const int64_t size = std::max<int64_t>(int64_t{1} << 40, 2 * phys);
+  int fd = ::open(file.path().c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  const int rc = ::ftruncate(fd, static_cast<off_t>(size));
+  ::close(fd);
+  if (rc != 0) GTEST_SKIP() << "filesystem refuses a sparse file this big";
+  Result<std::string> content = ReadFileToString(file.path());
+  ASSERT_FALSE(content.ok());
+  EXPECT_EQ(content.status().code(), StatusCode::kResourceExhausted)
+      << content.status().ToString();
+  Result<InputBuffer> buffer = InputBuffer::Open(file.path());
+  ASSERT_FALSE(buffer.ok());
+  EXPECT_EQ(buffer.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(InputBuffer, MissingFileIsNotFound) {

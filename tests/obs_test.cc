@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "base/file.h"
 #include "base/rng.h"
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
 #include "gen/xml_gen.h"
+#include "infer/engine.h"
 #include "infer/inferrer.h"
 #include "infer/parallel.h"
 #include "infer/streaming.h"
@@ -323,6 +326,36 @@ TEST_F(ObsTest, FailedDocumentsCountOnBothIngestionPaths) {
                   obs::Counter::kDocumentsFailed)],
               1);
   }
+  // File ingestion through the engine: a path that cannot be opened is
+  // a failed document, and every path is one io_read span, whether the
+  // engine reads inline (jobs=1) or on a worker (jobs=2).
+  const std::string good_path = ::testing::TempDir() + "/condtd_obs_good.xml";
+  ASSERT_TRUE(WriteStringToFile(good_path, good).ok());
+  for (int jobs : {1, 2}) {
+    obs::ResetStats();
+    IngestEngine::Options options;
+    options.jobs = jobs;
+    IngestEngine engine(options);
+    engine.AddFile(good_path);
+    engine.AddFile("/nonexistent/condtd_obs_missing.xml");
+    EXPECT_FALSE(engine.Finish().ok()) << "jobs=" << jobs;
+    obs::StatsSnapshot snapshot = obs::SnapshotStats();
+    EXPECT_EQ(snapshot.counters[static_cast<int>(
+                  obs::Counter::kDocumentsIngested)],
+              1)
+        << "jobs=" << jobs;
+    EXPECT_EQ(snapshot.counters[static_cast<int>(
+                  obs::Counter::kDocumentsFailed)],
+              1)
+        << "jobs=" << jobs;
+    EXPECT_EQ(snapshot.stages[static_cast<int>(obs::Stage::kIoRead)].count,
+              2)
+        << "jobs=" << jobs;
+    EXPECT_EQ(snapshot.counters[static_cast<int>(obs::Counter::kFilesRead)],
+              1)
+        << "jobs=" << jobs;
+  }
+  std::remove(good_path.c_str());
 }
 
 }  // namespace

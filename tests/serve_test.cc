@@ -979,6 +979,19 @@ TEST_F(ServeEndToEnd, OversizedInlineIsDrainedNotBuffered) {
   EXPECT_EQ(bad_id.status().code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(client.Ping().ok());
 
+  // The cap bounds PATH documents too: the file is refused on its size
+  // before anything is read, and the connection stays usable.
+  std::string big_path = dir_.path() + "/big.xml";
+  ASSERT_TRUE(WriteStringToFile(big_path, payload).ok());
+  Result<std::string> big_file =
+      client.Roundtrip("INGEST lib PATH " + big_path);
+  ASSERT_FALSE(big_file.ok());
+  EXPECT_EQ(big_file.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(big_file.status().message().find("max-inline-bytes"),
+            std::string::npos)
+      << big_file.status().ToString();
+  ASSERT_TRUE(client.Ping().ok());
+
   // At the cap is still fine.
   ASSERT_TRUE(client.IngestInline("lib", Doc(0)).ok());
 }

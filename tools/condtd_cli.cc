@@ -61,7 +61,6 @@
 #include "infer/contextual.h"
 #include "infer/engine.h"
 #include "infer/inferrer.h"
-#include "io/input_buffer.h"
 #include "learn/learner.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -84,7 +83,7 @@ int Usage() {
       "usage:\n"
       "  condtd infer [--xsd] [--algorithm=%s]\n"
       "               [--noise=N] [--jobs=N] [--max-strings=N]\n"
-      "               [--batch-docs=N] [--no-mmap]\n"
+      "               [--batch-docs=N]\n"
       "               [--out=FILE] [--stats[=json|text]]\n"
       "               [--state-in=FILE] [--state-out=FILE] file.xml...\n"
       "  condtd validate [--schema=file.dtd] file.xml...\n"
@@ -148,7 +147,6 @@ struct StatsReporter {
 
 int RunInfer(const std::vector<std::string>& args) {
   InferenceOptions options;
-  InputBuffer::Options input_options;
   bool emit_xsd = false;
   int jobs = 1;
   std::string out_path;
@@ -162,8 +160,6 @@ int RunInfer(const std::vector<std::string>& args) {
       emit_xsd = true;
     } else if (arg == "--lenient") {
       options.lenient_xml = true;
-    } else if (arg == "--no-mmap") {
-      input_options.allow_mmap = false;
     } else if (GetFlag(arg, "batch-docs", &value)) {
       if (!ParseCountFlag("batch-docs", value, 1, &options.batch_docs)) {
         return 2;
@@ -233,7 +229,6 @@ int RunInfer(const std::vector<std::string>& args) {
   // throughput.
   IngestEngine::Options engine_options;
   engine_options.inference = options;
-  engine_options.input = input_options;
   engine_options.jobs = jobs;
   IngestEngine engine(engine_options);
   if (!state_in.empty()) {
@@ -251,9 +246,9 @@ int RunInfer(const std::vector<std::string>& args) {
     }
   }
   for (const std::string& path : files) {
-    // Path-only hand-off: the engine opens the file itself (mmap or
-    // buffered; worker-side in sharded mode, overlapping I/O with
-    // parsing). Failures surface through errors() after Finish().
+    // Path-only hand-off: the engine reads the file itself
+    // (worker-side in sharded mode, overlapping I/O with parsing).
+    // Failures surface through errors() after Finish().
     engine.AddFile(path);
   }
   if (!engine.Finish().ok()) {
