@@ -48,6 +48,13 @@ DtdInferrer::DtdInferrer(InferenceOptions options)
       learner_(LearnerRegistry::Global().Find(options_.learner)),
       store_(MakeLimits(options_, learner_)) {}
 
+DtdInferrer::DtdInferrer(InferenceOptions options, const DtdInferrer& source)
+    : options_(std::move(options)),
+      learn_options_(MakeLearnOptions(options_)),
+      learner_(LearnerRegistry::Global().Find(options_.learner)),
+      alphabet_(source.alphabet_),
+      store_(source.store_) {}
+
 Status DtdInferrer::AddXml(std::string_view xml) {
   obs::CounterAdd(obs::Counter::kBytesIngested,
                   static_cast<int64_t>(xml.size()));

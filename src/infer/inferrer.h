@@ -62,6 +62,14 @@ class DtdInferrer {
  public:
   explicit DtdInferrer(InferenceOptions options = {});
 
+  /// A copy of `source`'s alphabet and summaries that learns with
+  /// `options` — how the serve daemon answers a QUERY, including its
+  /// algorithm override, without serializing the state. Symbol ids are
+  /// `source`'s, so the DTD equals the one `source` would infer under
+  /// `options`. The copied store keeps `source`'s retention limits:
+  /// they describe what was folded, not how to learn from it.
+  DtdInferrer(InferenceOptions options, const DtdInferrer& source);
+
   Alphabet* alphabet() { return &alphabet_; }
   const Alphabet& alphabet() const { return alphabet_; }
 

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace condtd {
 
 IngestSession::IngestSession(InferenceOptions options)
@@ -23,16 +25,23 @@ Status IngestSession::Ingest(std::string_view xml) {
   return Status::OK();
 }
 
-Status IngestSession::LoadState(std::string_view state) {
+void IngestSession::MergeFrom(const DtdInferrer& other) {
   std::lock_guard<std::mutex> lock(mu_);
   // Flush first so the cached weighted folds of earlier documents land
-  // before the loaded names intern (keeps the combined state equal to a
-  // sequential ingest-then-load run).
+  // before the merged names intern (keeps the combined state equal to a
+  // sequential ingest-then-merge run).
   folder_.Flush();
-  Status status = inferrer_.LoadState(state);
-  if (!status.ok()) return status;
+  inferrer_.MergeFrom(other);
   epoch_.fetch_add(1, std::memory_order_release);
-  return Status::OK();
+}
+
+DtdInferrer IngestSession::SnapshotInferrer(InferenceOptions options,
+                                            int64_t* epoch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  obs::StageSpan span(obs::Stage::kServeSnapshot);
+  folder_.Flush();
+  *epoch = epoch_.load(std::memory_order_relaxed);
+  return DtdInferrer(std::move(options), inferrer_);
 }
 
 void IngestSession::Snapshot(std::string* state, int64_t* epoch) {

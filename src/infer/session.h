@@ -14,17 +14,18 @@
 namespace condtd {
 
 /// Thread-safe incremental ingest session: one DtdInferrer plus its
-/// streaming fold driver behind a mutex, with a consistent-snapshot
-/// read API. This is the long-lived per-corpus substrate of the serve
+/// streaming fold driver behind a mutex, with consistent-snapshot read
+/// APIs. This is the long-lived per-corpus substrate of the serve
 /// daemon (Section 9's incremental extension running forever instead of
 /// once): writers call Ingest whenever a document arrives, readers call
-/// Snapshot at any time and always observe a document-boundary-
-/// consistent state — never a torn word multiset.
+/// SnapshotInferrer (in-memory copy, for learning) or Snapshot
+/// (SaveState text, for disk) at any time and always observe a
+/// document-boundary-consistent state — never a torn word multiset.
 ///
 /// Consistency contract: Ingest holds the session lock for the whole
 /// parse-and-fold of one document, and the streaming fold is
 /// transactional per document (a failed parse contributes nothing), so
-/// every snapshot equals the SaveState of a sequential DtdInferrer fed
+/// every snapshot equals the state of a sequential DtdInferrer fed
 /// some prefix of the successfully ingested document sequence — pinned
 /// by tests/serve_test.cc. Because weighted dedup folds are exact,
 /// the mid-stream Flush a snapshot performs never changes any later
@@ -35,7 +36,7 @@ namespace condtd {
 /// deterministic). Cross-corpus parallelism comes from the daemon's
 /// worker pool running many sessions; batch-corpus parallelism from
 /// IngestEngine (infer/engine.h), which shards across threads and whose
-/// merged state a session can adopt via LoadState.
+/// merged inferrer a session adopts in memory via MergeFrom.
 class IngestSession {
  public:
   explicit IngestSession(InferenceOptions options);
@@ -49,18 +50,28 @@ class IngestSession {
   /// error the document contributes nothing. Thread-safe.
   Status Ingest(std::string_view xml);
 
-  /// Merges a previously saved summary state (journal recovery, shard
-  /// adoption). Counts as one epoch step. Thread-safe.
-  Status LoadState(std::string_view state);
+  /// Merges another inferrer's summaries in memory (journal recovery
+  /// adopts the replay engine's merged inferrer this way). Counts as
+  /// one epoch step. Thread-safe; `other` must not be this session's
+  /// own inferrer.
+  void MergeFrom(const DtdInferrer& other);
 
-  /// Captures a consistent snapshot: the SaveState text of everything
-  /// ingested so far, plus the epoch it corresponds to. Thread-safe;
-  /// blocks ingestion only for the flush-and-serialize, not for any
-  /// learning a reader does with the snapshot afterwards.
+  /// Captures a consistent snapshot in memory: a copy of the alphabet
+  /// and summaries of everything ingested so far that learns with
+  /// `options` (see DtdInferrer's copy-with-options constructor), plus
+  /// the epoch it corresponds to. Thread-safe; blocks ingestion only
+  /// for the flush-and-copy (timed as the `serve_snapshot` stage), not
+  /// for the learning and emitting a reader does with the copy.
+  DtdInferrer SnapshotInferrer(InferenceOptions options, int64_t* epoch);
+
+  /// Captures a consistent snapshot as SaveState text, plus the epoch it
+  /// corresponds to (null to skip). For disk snapshots; readers that
+  /// learn use SnapshotInferrer. Thread-safe; blocks ingestion for the
+  /// flush-and-serialize.
   void Snapshot(std::string* state, int64_t* epoch);
 
   /// Monotone version counter: bumps once per successful Ingest and
-  /// LoadState. Readers use it to cache learned schemas per version.
+  /// per MergeFrom. Readers use it to cache learned schemas per version.
   int64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Raises the monotone public counters to at least the given values.

@@ -185,12 +185,22 @@ std::string UnescapeText(const std::string& text) {
 std::string SummaryStore::Save(const Alphabet& alphabet) const {
   std::string out = "condtd-state 2\n";
   auto name = [&](Symbol s) { return alphabet.Name(s); };
-  for (const auto& [symbol, count] : root_counts_) {
-    out += "root " + name(symbol) + " " + std::to_string(count) + "\n";
+  // Root and child marks interleaved in symbol-id order: Load interns
+  // names in line order, so a fresh load gives every root or child name
+  // the same relative id it has here, and ids fix declaration order and
+  // learner tie-breaks.
+  Symbol marked = static_cast<Symbol>(seen_as_child_.size());
+  if (!root_counts_.empty()) {
+    marked = std::max(marked, root_counts_.rbegin()->first + 1);
   }
-  for (Symbol symbol = 0;
-       symbol < static_cast<Symbol>(seen_as_child_.size()); ++symbol) {
-    if (seen_as_child_[symbol]) out += "child " + name(symbol) + "\n";
+  auto root = root_counts_.begin();
+  for (Symbol symbol = 0; symbol < marked; ++symbol) {
+    if (root != root_counts_.end() && root->first == symbol) {
+      out += "root " + name(symbol) + " " + std::to_string(root->second) +
+             "\n";
+      ++root;
+    }
+    if (SeenAsChild(symbol)) out += "child " + name(symbol) + "\n";
   }
   for (const auto& [symbol, summary] : elements_) {
     out += "element " + name(symbol) + " " +

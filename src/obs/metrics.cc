@@ -52,7 +52,8 @@ constexpr std::array<std::string_view, static_cast<size_t>(Stage::kNumStages)>
         "io_read",   "lex_parse",     "entity_decode", "word_fold",
         "two_t_inf", "crx_fold",      "dedup_commit",  "shard_merge",
         "learn",     "rewrite",       "repair",        "crx_infer",
-        "emit",      "serve_ingest",  "serve_query",   "journal_replay",
+        "emit",      "serve_ingest",  "serve_query",   "serve_snapshot",
+        "journal_replay",
 };
 
 }  // namespace

@@ -124,6 +124,7 @@ enum class Stage : int {
   kEmit,            ///< DTD/XSD serialization
   kServeIngest,     ///< daemon: one INGEST command (journal + fold)
   kServeQuery,      ///< daemon: one QUERY command (snapshot + learn + emit)
+  kServeSnapshot,   ///< daemon: a QUERY's flush + in-memory copy, lock held
   kJournalReplay,   ///< daemon: whole-journal replay at recovery
   kNumStages,
 };

@@ -164,7 +164,7 @@ Status Corpus::RecoverLocked() {
                             folded.ToString());
   }
   if (replayed->records > 0 || FileExists(SnapshotPath(generation_))) {
-    CONDTD_RETURN_IF_ERROR(session_.LoadState(engine.inferrer().SaveState()));
+    session_.MergeFrom(engine.inferrer());
   }
   replayed_documents_ = replayed->records;
   next_seq_ = max_seq + 1;
@@ -258,17 +258,14 @@ Result<std::string> Corpus::Query(const std::string& algorithm, bool xsd) {
     }
   }
 
-  // Consistent snapshot, then learn entirely off the ingest path: a
-  // fresh inferrer restored via LoadState answers for the snapshot's
-  // document prefix while writers keep folding.
-  std::string state;
-  int64_t epoch = 0;
-  session_.Snapshot(&state, &epoch);
-
+  // Consistent in-memory copy of the summaries under the session lock,
+  // then learn and emit entirely off the ingest path: the copy answers
+  // for the snapshot's document prefix while writers keep folding.
   InferenceOptions inference = options_.inference;
   if (!algorithm.empty()) inference.learner = algorithm;
-  DtdInferrer reader(inference);
-  CONDTD_RETURN_IF_ERROR(reader.LoadState(state));
+  int64_t epoch = 0;
+  DtdInferrer reader = session_.SnapshotInferrer(std::move(inference),
+                                                 &epoch);
 
   std::string schema;
   if (xsd) {
@@ -279,6 +276,7 @@ Result<std::string> Corpus::Query(const std::string& algorithm, bool xsd) {
   } else {
     Result<Dtd> dtd = reader.InferDtd();
     if (!dtd.ok()) return dtd.status();
+    obs::StageSpan emit_span(obs::Stage::kEmit);
     schema = WriteDtd(*dtd, *reader.alphabet());
   }
 

@@ -42,15 +42,17 @@ struct CorpusStats {
 /// every Ingest folds the document into the session FIRST, appends it
 /// to the journal SECOND, and only then acknowledges — so the journal
 /// holds exactly the acknowledged document multiset, and recovery
-/// (base snapshot LoadState + sequential journal re-fold) reproduces
-/// the acknowledged state byte-identically. WriteSnapshot rotates to a
+/// (base snapshot LoadState + sequential journal re-fold, adopted into
+/// the session in memory) reproduces the acknowledged state
+/// byte-identically. WriteSnapshot rotates to a
 /// fresh generation with an atomic CURRENT rename; a crash at any
 /// instant leaves either the old generation fully intact or the new
 /// one fully current — documents are never lost or double-folded.
 ///
 /// Concurrency: one writer at a time (ingest_mu_); readers (Query)
-/// capture a consistent session snapshot and learn entirely off-lock,
-/// so long learner runs never stall ingestion.
+/// copy the session's alphabet and summaries in memory under the
+/// session lock and learn entirely off-lock, so long learner runs never
+/// stall ingestion. SaveState text is written for disk snapshots only.
 class Corpus {
  public:
   struct Options {
@@ -90,11 +92,13 @@ class Corpus {
   /// durability).
   Status Ingest(std::string_view doc);
 
-  /// Learns a schema from a consistent snapshot of the current state.
-  /// `algorithm` overrides the corpus learner by registry name (empty =
-  /// corpus default); `xsd` selects XSD output instead of DTD. Served
-  /// from the schema cache when the corpus has not changed since the
-  /// same question was last answered.
+  /// Learns a schema from a consistent in-memory copy of the current
+  /// summaries (IngestSession::SnapshotInferrer; no state text is
+  /// written or parsed). `algorithm` overrides the corpus learner by
+  /// registry name (empty = corpus default) and applies to the copy;
+  /// `xsd` selects XSD output instead of DTD. Served from the schema
+  /// cache when the corpus has not changed since the same question was
+  /// last answered.
   Result<std::string> Query(const std::string& algorithm, bool xsd);
 
   /// Rotates the durability generation: writes a fresh snapshot of the

@@ -70,6 +70,45 @@ void CorpusFamily(
   }
 }
 
+/// The samples of one histogram labelled {<label>="<value>"}: cumulative
+/// buckets ending at +Inf, then _sum (seconds) and _count. Corpus
+/// latencies and obs stage spans share the fixed bucket layout.
+template <typename Histogram>
+void HistogramSamples(std::string& out, std::string_view name,
+                      std::string_view label, std::string_view value,
+                      const Histogram& h) {
+  const std::string selector =
+      std::string(label) + "=\"" + EscapeLabel(value) + "\"";
+  int64_t cumulative = 0;
+  for (int bucket = 0; bucket < obs::kLatencyBuckets; ++bucket) {
+    cumulative += h.buckets[bucket];
+    out += name;
+    out += "_bucket{";
+    out += selector;
+    out += ",le=\"";
+    if (bucket < obs::kLatencyBuckets - 1) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%g",
+                    static_cast<double>(obs::kBucketBoundsNs[bucket]) / 1e9);
+      out += buf;
+    } else {
+      out += "+Inf";
+    }
+    out += "\"} ";
+    AppendValue(out, cumulative);
+  }
+  out += name;
+  out += "_sum{";
+  out += selector;
+  out += "} ";
+  AppendSeconds(out, h.total_ns);
+  out += name;
+  out += "_count{";
+  out += selector;
+  out += "} ";
+  AppendValue(out, h.count);
+}
+
 void CorpusHistogram(
     std::string& out,
     const std::vector<std::pair<std::string, CorpusStats>>& corpora,
@@ -77,37 +116,7 @@ void CorpusHistogram(
     const LatencyHistogram CorpusStats::* histogram) {
   AppendHeader(out, name, "histogram", help);
   for (const auto& [id, stats] : corpora) {
-    const LatencyHistogram& h = stats.*histogram;
-    const std::string label = EscapeLabel(id);
-    int64_t cumulative = 0;
-    for (int bucket = 0; bucket < obs::kLatencyBuckets; ++bucket) {
-      cumulative += h.buckets[bucket];
-      out += name;
-      out += "_bucket{corpus=\"";
-      out += label;
-      out += "\",le=\"";
-      if (bucket < obs::kLatencyBuckets - 1) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%g",
-                      static_cast<double>(obs::kBucketBoundsNs[bucket]) /
-                          1e9);
-        out += buf;
-      } else {
-        out += "+Inf";
-      }
-      out += "\"} ";
-      AppendValue(out, cumulative);
-    }
-    out += name;
-    out += "_sum{corpus=\"";
-    out += label;
-    out += "\"} ";
-    AppendSeconds(out, h.total_ns);
-    out += name;
-    out += "_count{corpus=\"";
-    out += label;
-    out += "\"} ";
-    AppendValue(out, h.count);
+    HistogramSamples(out, name, "corpus", id, stats.*histogram);
   }
 }
 
@@ -200,6 +209,15 @@ std::string RenderPrometheusText(
     out += name;
     out += ' ';
     AppendValue(out, process.gauges[g]);
+  }
+  // Stage spans, e.g. serve_snapshot (a QUERY's lock-held flush + copy)
+  // apart from learn and emit.
+  AppendHeader(out, "condtd_process_stage_seconds", "histogram",
+               "Wall time of pipeline stage spans, summed across threads.");
+  for (int s = 0; s < static_cast<int>(obs::Stage::kNumStages); ++s) {
+    HistogramSamples(out, "condtd_process_stage_seconds", "stage",
+                     obs::StageName(static_cast<obs::Stage>(s)),
+                     process.stages[s]);
   }
 
   return out;

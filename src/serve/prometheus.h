@@ -14,7 +14,8 @@ namespace serve {
 /// Renders the daemon's state in Prometheus text exposition format
 /// 0.0.4 (text/plain; version=0.0.4): per-corpus counters, gauges and
 /// latency histograms labelled {corpus="<id>"}, followed by the
-/// process-wide obs registry (condtd_process_* counters and gauges).
+/// process-wide obs registry (condtd_process_* counters and gauges, and
+/// the condtd_process_stage_seconds histogram labelled {stage="<name>"}).
 /// Families are grouped under one # HELP / # TYPE header each,
 /// counters carry the _total suffix, and histogram buckets are
 /// cumulative with le= in seconds — the invariants the CI metrics lint

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "infer/streaming.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "serve/corpus.h"
 
 namespace condtd {
 namespace {
@@ -356,6 +358,41 @@ TEST_F(ObsTest, FailedDocumentsCountOnBothIngestionPaths) {
         << "jobs=" << jobs;
   }
   std::remove(good_path.c_str());
+}
+
+TEST_F(ObsTest, ServeQuerySplitsSnapshotFromLearnAndEmit) {
+  SKIP_WITHOUT_STATS();
+  Result<std::unique_ptr<serve::Corpus>> corpus =
+      serve::Corpus::Open("lib", serve::Corpus::Options{});
+  ASSERT_TRUE(corpus.ok());
+  for (const std::string& doc : GenerateCorpus(10, 8)) {
+    ASSERT_TRUE((*corpus)->Ingest(doc).ok());
+  }
+  auto stage = [](obs::Stage s) {
+    return obs::SnapshotStats().stages[static_cast<int>(s)];
+  };
+  obs::ResetStats();
+  ASSERT_TRUE((*corpus)->Query("", /*xsd=*/false).ok());
+  // One cache miss: one lock-held flush + copy, then learning and
+  // emitting on the copy, each in its own stage inside serve_query.
+  EXPECT_EQ(stage(obs::Stage::kServeQuery).count, 1);
+  EXPECT_EQ(stage(obs::Stage::kServeSnapshot).count, 1);
+  EXPECT_GT(stage(obs::Stage::kLearn).count, 0);
+  EXPECT_EQ(stage(obs::Stage::kEmit).count, 1);
+  EXPECT_LE(stage(obs::Stage::kServeSnapshot).total_ns,
+            stage(obs::Stage::kServeQuery).total_ns);
+
+  // A cache hit copies nothing; an XSD query emits once more.
+  ASSERT_TRUE((*corpus)->Query("", /*xsd=*/false).ok());
+  ASSERT_TRUE((*corpus)->Query("", /*xsd=*/true).ok());
+  EXPECT_EQ(stage(obs::Stage::kServeQuery).count, 3);
+  EXPECT_EQ(stage(obs::Stage::kServeSnapshot).count, 2);
+  EXPECT_EQ(stage(obs::Stage::kEmit).count, 2);
+
+  std::string json = obs::RenderStatsJson(obs::SnapshotStats());
+  EXPECT_NE(json.find("\"serve_snapshot\": {\"count\": 2"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -196,6 +196,31 @@ TEST(StatePersistence, SaveLoadRoundTripsTheDtd) {
   EXPECT_EQ(restored.SaveState(), state);
 }
 
+TEST(StatePersistence, MultiRootStateKeepsDeclarationOrder) {
+  // Symbol ids fix the order of the DTD's declarations. A root first
+  // seen after a child name (c below) must not move ahead of that child
+  // when a fresh process reloads the state.
+  for (const std::vector<std::string>& docs :
+       std::vector<std::vector<std::string>>{
+           {"<a><b/></a>", "<c><a/></c>"},
+           {"<a><b/></a>", "<c><a/></c>", "<d><e/><c/></d>", "<e/>"}}) {
+    DtdInferrer direct;
+    for (const std::string& doc : docs) {
+      ASSERT_TRUE(direct.AddXml(doc).ok());
+    }
+    std::string state = direct.SaveState();
+    DtdInferrer restored;
+    ASSERT_TRUE(restored.LoadState(state).ok());
+    std::string direct_dtd =
+        WriteDtd(direct.InferDtd().value(), *direct.alphabet());
+    EXPECT_EQ(WriteDtd(restored.InferDtd().value(), *restored.alphabet()),
+              direct_dtd);
+    EXPECT_EQ(restored.SaveState(), state);
+    EXPECT_LT(direct_dtd.find("<!ELEMENT b"), direct_dtd.find("<!ELEMENT c"))
+        << direct_dtd;
+  }
+}
+
 TEST(StatePersistence, LoadMergesShards) {
   // Two inferrers fed disjoint halves must merge into the same state as
   // one fed everything (map-reduce style sharding).

@@ -38,6 +38,7 @@
 #include "infer/inferrer.h"
 #include "infer/session.h"
 #include "infer/streaming.h"
+#include "learn/learner.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/corpus.h"
@@ -82,6 +83,31 @@ std::string Doc(int index) {
   }
   xml += "</library>";
   return xml;
+}
+
+/// Distinct per-index documents under three root names. Root `c`
+/// first appears after its child names `a` and `b`, and `d` after `c`,
+/// so the declaration order of the DTD (first-seen name order) differs
+/// from "roots first".
+std::string MultiRootDoc(int index) {
+  switch (index % 3) {
+    case 0:
+      return std::string("<a><b/>") + (index % 4 > 1 ? "<b/>" : "") + "</a>";
+    case 1: {
+      std::string xml = "<c><a/>";
+      for (int i = 0; i < index % 4; ++i) xml += "<e/>";
+      return xml + "</c>";
+    }
+    default:
+      return std::string("<d><c/>") + (index % 2 == 0 ? "<b/>" : "") +
+             "</d>";
+  }
+}
+
+std::vector<std::string> Docs(std::string (*make)(int), int count) {
+  std::vector<std::string> docs;
+  for (int i = 0; i < count; ++i) docs.push_back(make(i));
+  return docs;
 }
 
 /// Reference: the sequential engine's SaveState after folding
@@ -276,66 +302,68 @@ TEST(IngestSession, ApproxBytesGrowsWithRetainedState) {
 // Corpus durability
 
 TEST(Corpus, RecoversFromJournalAloneAfterCrash) {
-  TempDir dir;
-  serve::Corpus::Options options;
-  options.data_dir = dir.path();
-  options.fsync_journal = false;  // in-process "crash" keeps the bytes
+  for (std::string (*make)(int) : {Doc, MultiRootDoc}) {
+    TempDir dir;
+    serve::Corpus::Options options;
+    options.data_dir = dir.path();
+    options.fsync_journal = false;  // in-process "crash" keeps the bytes
 
-  std::vector<std::string> docs;
-  for (int i = 0; i < 6; ++i) docs.push_back(Doc(i));
+    std::vector<std::string> docs = Docs(make, 6);
 
-  {
-    Result<std::unique_ptr<serve::Corpus>> corpus =
-        serve::Corpus::Open("lib", options);
-    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
-    for (const std::string& doc : docs) {
-      ASSERT_TRUE((*corpus)->Ingest(doc).ok());
+    {
+      Result<std::unique_ptr<serve::Corpus>> corpus =
+          serve::Corpus::Open("lib", options);
+      ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+      for (const std::string& doc : docs) {
+        ASSERT_TRUE((*corpus)->Ingest(doc).ok());
+      }
+      // No snapshot, no clean shutdown: the object is dropped with only
+      // the journal on disk — exactly the kill -9 disk image.
     }
-    // No snapshot, no clean shutdown: the object is dropped with only
-    // the journal on disk — exactly the kill -9 disk image.
-  }
 
-  Result<std::unique_ptr<serve::Corpus>> recovered =
-      serve::Corpus::Open("lib", options);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  Result<std::string> dtd = (*recovered)->Query("", /*xsd=*/false);
-  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
-  EXPECT_EQ(*dtd, PrefixDtd(docs, docs.size()));
-  EXPECT_EQ((*recovered)->GetStats().replayed_documents, 6);
+    Result<std::unique_ptr<serve::Corpus>> recovered =
+        serve::Corpus::Open("lib", options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    Result<std::string> dtd = (*recovered)->Query("", /*xsd=*/false);
+    ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+    EXPECT_EQ(*dtd, PrefixDtd(docs, docs.size()));
+    EXPECT_EQ((*recovered)->GetStats().replayed_documents, 6);
+  }
 }
 
 TEST(Corpus, RecoversFromSnapshotPlusJournal) {
-  TempDir dir;
-  serve::Corpus::Options options;
-  options.data_dir = dir.path();
-  options.fsync_journal = false;
+  for (std::string (*make)(int) : {Doc, MultiRootDoc}) {
+    TempDir dir;
+    serve::Corpus::Options options;
+    options.data_dir = dir.path();
+    options.fsync_journal = false;
 
-  std::vector<std::string> docs;
-  for (int i = 0; i < 8; ++i) docs.push_back(Doc(i));
+    std::vector<std::string> docs = Docs(make, 8);
 
-  {
-    Result<std::unique_ptr<serve::Corpus>> corpus =
+    {
+      Result<std::unique_ptr<serve::Corpus>> corpus =
+          serve::Corpus::Open("lib", options);
+      ASSERT_TRUE(corpus.ok());
+      for (int i = 0; i < 5; ++i) {
+        ASSERT_TRUE((*corpus)->Ingest(docs[i]).ok());
+      }
+      ASSERT_TRUE((*corpus)->WriteSnapshot().ok());
+      for (int i = 5; i < 8; ++i) {
+        ASSERT_TRUE((*corpus)->Ingest(docs[i]).ok());
+      }
+    }
+
+    Result<std::unique_ptr<serve::Corpus>> recovered =
         serve::Corpus::Open("lib", options);
-    ASSERT_TRUE(corpus.ok());
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE((*corpus)->Ingest(docs[i]).ok());
-    }
-    ASSERT_TRUE((*corpus)->WriteSnapshot().ok());
-    for (int i = 5; i < 8; ++i) {
-      ASSERT_TRUE((*corpus)->Ingest(docs[i]).ok());
-    }
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    serve::CorpusStats stats = (*recovered)->GetStats();
+    EXPECT_EQ(stats.generation, 1);
+    EXPECT_EQ(stats.replayed_documents, 3);  // only the post-snapshot tail
+
+    Result<std::string> dtd = (*recovered)->Query("", /*xsd=*/false);
+    ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+    EXPECT_EQ(*dtd, PrefixDtd(docs, docs.size()));
   }
-
-  Result<std::unique_ptr<serve::Corpus>> recovered =
-      serve::Corpus::Open("lib", options);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  serve::CorpusStats stats = (*recovered)->GetStats();
-  EXPECT_EQ(stats.generation, 1);
-  EXPECT_EQ(stats.replayed_documents, 3);  // only the post-snapshot tail
-
-  Result<std::string> dtd = (*recovered)->Query("", /*xsd=*/false);
-  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
-  EXPECT_EQ(*dtd, PrefixDtd(docs, docs.size()));
 }
 
 TEST(Corpus, TornJournalTailRecoversAcknowledgedPrefix) {
@@ -372,47 +400,48 @@ TEST(Corpus, TornJournalTailRecoversAcknowledgedPrefix) {
 
 TEST(Corpus, QueriesDuringIngestionAnswerForAConsistentPrefix) {
   constexpr int kDocs = 16;
-  std::vector<std::string> docs;
-  for (int i = 0; i < kDocs; ++i) docs.push_back(Doc(i));
+  for (std::string (*make)(int) : {Doc, MultiRootDoc}) {
+    std::vector<std::string> docs = Docs(make, kDocs);
 
-  std::set<std::string> prefix_dtds;
-  for (size_t prefix = 1; prefix <= docs.size(); ++prefix) {
-    prefix_dtds.insert(PrefixDtd(docs, prefix));
-  }
-
-  serve::Corpus::Options options;  // ephemeral: no data_dir
-  Result<std::unique_ptr<serve::Corpus>> corpus =
-      serve::Corpus::Open("lib", options);
-  ASSERT_TRUE(corpus.ok());
-  ASSERT_TRUE((*corpus)->Ingest(docs[0]).ok());  // never query empty
-
-  std::vector<std::string> answers;
-  std::thread reader([&corpus, &answers] {
-    for (int i = 0; i < 40; ++i) {
-      Result<std::string> dtd = (*corpus)->Query("", /*xsd=*/false);
-      ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
-      answers.push_back(std::move(*dtd));
+    std::set<std::string> prefix_dtds;
+    for (size_t prefix = 1; prefix <= docs.size(); ++prefix) {
+      prefix_dtds.insert(PrefixDtd(docs, prefix));
     }
-  });
-  for (int i = 1; i < kDocs; ++i) {
-    ASSERT_TRUE((*corpus)->Ingest(docs[i]).ok());
-  }
-  reader.join();
 
-  for (const std::string& answer : answers) {
-    // Byte-identical to the sequential answer for SOME prefix of the
-    // acknowledged sequence: the concurrent reader can never observe a
-    // half-folded document.
-    EXPECT_TRUE(prefix_dtds.count(answer) > 0)
-        << "query answered for a non-prefix state:\n"
-        << answer;
-    // And it is well-formed DTD text.
-    Alphabet alphabet;
-    EXPECT_TRUE(ParseDtd(answer, &alphabet).ok());
+    serve::Corpus::Options options;  // ephemeral: no data_dir
+    Result<std::unique_ptr<serve::Corpus>> corpus =
+        serve::Corpus::Open("lib", options);
+    ASSERT_TRUE(corpus.ok());
+    ASSERT_TRUE((*corpus)->Ingest(docs[0]).ok());  // never query empty
+
+    std::vector<std::string> answers;
+    std::thread reader([&corpus, &answers] {
+      for (int i = 0; i < 40; ++i) {
+        Result<std::string> dtd = (*corpus)->Query("", /*xsd=*/false);
+        ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+        answers.push_back(std::move(*dtd));
+      }
+    });
+    for (int i = 1; i < kDocs; ++i) {
+      ASSERT_TRUE((*corpus)->Ingest(docs[i]).ok());
+    }
+    reader.join();
+
+    for (const std::string& answer : answers) {
+      // Byte-identical to the sequential answer for SOME prefix of the
+      // acknowledged sequence: the concurrent reader can never observe
+      // a half-folded document.
+      EXPECT_TRUE(prefix_dtds.count(answer) > 0)
+          << "query answered for a non-prefix state:\n"
+          << answer;
+      // And it is well-formed DTD text.
+      Alphabet alphabet;
+      EXPECT_TRUE(ParseDtd(answer, &alphabet).ok());
+    }
+    Result<std::string> final_dtd = (*corpus)->Query("", /*xsd=*/false);
+    ASSERT_TRUE(final_dtd.ok());
+    EXPECT_EQ(*final_dtd, PrefixDtd(docs, docs.size()));
   }
-  Result<std::string> final_dtd = (*corpus)->Query("", /*xsd=*/false);
-  ASSERT_TRUE(final_dtd.ok());
-  EXPECT_EQ(*final_dtd, PrefixDtd(docs, docs.size()));
 }
 
 TEST(Corpus, QueryCacheHitsOnlyWhenUnchanged) {
@@ -470,6 +499,64 @@ TEST(Corpus, XsdQueryAndAlgorithmOverride) {
 
   Result<std::string> bogus = (*corpus)->Query("nonsense", false);
   EXPECT_FALSE(bogus.ok());
+}
+
+TEST(Corpus, InMemoryQueryEqualsTheStateTextRoundTrip) {
+  // Query learns from an in-memory copy of the session's summaries. It
+  // must answer exactly as a fresh inferrer restored from the session's
+  // SaveState text does — for every registered learner, DTD and XSD,
+  // including overrides whose learner differs from the corpus's own
+  // (xtract on an auto corpus fails: no word reservoir was kept).
+  std::vector<std::string> docs = Docs(MultiRootDoc, 12);
+  for (const char* corpus_learner : {"auto", "xtract"}) {
+    serve::Corpus::Options options;
+    options.inference.learner = corpus_learner;
+    Result<std::unique_ptr<serve::Corpus>> corpus =
+        serve::Corpus::Open("lib", options);
+    ASSERT_TRUE(corpus.ok());
+    IngestSession session(options.inference);
+    for (const std::string& doc : docs) {
+      ASSERT_TRUE((*corpus)->Ingest(doc).ok());
+      ASSERT_TRUE(session.Ingest(doc).ok());
+    }
+    std::string state;
+    session.Snapshot(&state, nullptr);
+
+    for (const Learner* learner : LearnerRegistry::Global().All()) {
+      std::string name(learner->name());
+      for (bool xsd : {false, true}) {
+        SCOPED_TRACE(std::string(corpus_learner) + " corpus, query " +
+                     name + (xsd ? " xsd" : " dtd"));
+        InferenceOptions inference = options.inference;
+        inference.learner = name;
+        DtdInferrer reader(inference);
+        ASSERT_TRUE(reader.LoadState(state).ok());
+        Result<std::string> expected = Status::Internal("unset");
+        if (xsd) {
+          expected = reader.InferXsd(/*numeric_predicates=*/true);
+        } else {
+          Result<Dtd> dtd = reader.InferDtd();
+          expected = dtd.ok() ? Result<std::string>(
+                                    WriteDtd(*dtd, *reader.alphabet()))
+                              : Result<std::string>(dtd.status());
+        }
+        Result<std::string> answer = (*corpus)->Query(name, xsd);
+        ASSERT_EQ(answer.ok(), expected.ok())
+            << (answer.ok() ? expected.status() : answer.status())
+                   .ToString();
+        if (answer.ok()) {
+          EXPECT_EQ(*answer, *expected);
+        } else {
+          EXPECT_EQ(answer.status().ToString(),
+                    expected.status().ToString());
+        }
+      }
+    }
+    if (std::string(corpus_learner) == "auto") {
+      Result<std::string> xtract = (*corpus)->Query("xtract", false);
+      EXPECT_FALSE(xtract.ok());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -1104,6 +1191,11 @@ TEST_F(ServeEndToEnd, HttpMetricsAndHealthEndpoints) {
         "condtd_corpus_queries_total{corpus=\"lib\"} 1",
         "# TYPE condtd_process_serve_ingest_requests_total counter",
         "condtd_process_serve_ingest_requests_total 3",
+        "# TYPE condtd_process_stage_seconds histogram",
+        "condtd_process_stage_seconds_count{stage=\"serve_query\"} 1",
+        "condtd_process_stage_seconds_count{stage=\"serve_snapshot\"} 1",
+        "condtd_process_stage_seconds_bucket{stage=\"serve_snapshot\","
+        "le=\"+Inf\"} 1",
         "condtd_process_http_requests_total "}) {
     EXPECT_NE(metrics.find(needle), std::string::npos) << needle;
   }
