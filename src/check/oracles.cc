@@ -6,7 +6,7 @@
 #include "automaton/dfa.h"
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
-#include "infer/parallel.h"
+#include "infer/engine.h"
 #include "infer/streaming.h"
 #include "regex/determinism.h"
 #include "regex/equivalence.h"
@@ -483,16 +483,25 @@ OracleResult CheckIngestionEquivalence(
                               streaming_text + "vs\n" + dom_text);
   }
 
-  // Sharded parallel ingestion.
-  ParallelDtdInferrer parallel(options, jobs);
-  for (const std::string& doc : documents) parallel.AddXml(doc);
-  Result<Dtd> parallel_dtd = parallel.InferDtd();
+  // The batch ingestion engine (sharded when jobs > 1).
+  IngestEngine::Options engine_options;
+  engine_options.inference = options;
+  engine_options.jobs = jobs;
+  IngestEngine engine(engine_options);
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status engine_status = engine.Finish();
+  if (!engine_status.ok()) {
+    return OracleResult::Fail("parallel ingestion failed: " +
+                              engine_status.ToString());
+  }
+  Result<Dtd> parallel_dtd =
+      engine.inferrer().InferDtd(engine.infer_threads());
   if (!parallel_dtd.ok()) {
     return OracleResult::Fail("parallel inference failed: " +
                               parallel_dtd.status().ToString());
   }
   std::string parallel_text =
-      WriteDtd(parallel_dtd.value(), *parallel.merged()->alphabet());
+      WriteDtd(parallel_dtd.value(), *engine.inferrer().alphabet());
   if (parallel_text != dom_text) {
     return OracleResult::Fail("parallel (jobs=" + std::to_string(jobs) +
                               ") DTD differs from DOM DTD:\n" +

@@ -102,8 +102,8 @@ OracleResult CheckMergeLaws(const std::vector<std::vector<Word>>& shards,
                             const SummaryLimits& limits);
 
 /// Ingestion-path equivalence: the DOM path (DtdInferrer::AddXml), the
-/// streaming SAX fold and the sharded ParallelDtdInferrer with `jobs`
-/// threads must produce byte-identical DTDs for the same documents.
+/// streaming SAX fold and the IngestEngine with `jobs` worker shards
+/// must produce byte-identical DTDs for the same documents.
 OracleResult CheckIngestionEquivalence(
     const std::vector<std::string>& documents,
     const InferenceOptions& options, int jobs);

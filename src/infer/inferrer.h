@@ -45,11 +45,6 @@ struct InferenceOptions {
   /// end tags are repaired instead of rejected) — for corpora like the
   /// paper's XHTML crawl where 89% of documents are not well-formed.
   bool lenient_xml = false;
-  /// Documents per scheduler batch in ParallelDtdInferrer: workers pull
-  /// whole batches from the work-stealing deque, so this trades hand-off
-  /// overhead (small batches) against load-balance granularity (large
-  /// batches). The inferred DTD is identical at any value.
-  int batch_docs = 32;
 };
 
 /// The end-to-end DTD inference engine of the paper. Feed it documents

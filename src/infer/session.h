@@ -35,8 +35,8 @@ namespace condtd {
 /// corpus across cores (per-corpus ordering is what makes replay
 /// deterministic). Cross-corpus parallelism comes from the daemon's
 /// worker pool running many sessions; batch-corpus parallelism from
-/// IngestEngine (infer/engine.h), which shards across threads and whose
-/// merged inferrer a session adopts in memory via MergeFrom.
+/// IngestEngine (infer/engine.h), which shards across threads at
+/// jobs > 1 and whose merged inferrer a session adopts in memory via MergeFrom.
 class IngestSession {
  public:
   explicit IngestSession(InferenceOptions options);

@@ -53,7 +53,7 @@ namespace condtd {
 /// benchmarking the dedup contribution and as the dedup cache's test
 /// oracle (CheckDedupCacheEquivalence).
 ///
-/// Text-sample caveat (same as ParallelDtdInferrer's): which capped text
+/// Text-sample caveat (same as IngestEngine's shards): which capped text
 /// snippets are retained can differ from the DOM path (samples are taken
 /// in end-tag rather than start-tag order), so XSD datatype picks may
 /// differ on heterogeneous text; the inferred DTD never does.
@@ -88,9 +88,9 @@ class StreamingFolder {
   /// Abandons the document currently in flight (if any): rolls back its
   /// dedup-cache increments and clears the open-frame stack, exactly as
   /// a parse failure would. For callers that interrupt `AddXml` from the
-  /// outside — the parallel worker pool calls this after containing an
-  /// exception thrown mid-ingestion, so the failed document cannot leak
-  /// half-folded words into the shard at the next Flush().
+  /// outside — IngestEngine calls this after containing an exception
+  /// thrown mid-ingestion, so the failed document cannot leak
+  /// half-folded words into the summaries at the next Flush().
   void AbortDocument() { ResetDocument(); }
 
   /// Ingestion counters (for benchmarks and tests).

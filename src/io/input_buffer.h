@@ -11,9 +11,9 @@ namespace condtd {
 /// Reads one corpus document for the ingestion pipeline: the whole file
 /// through ReadFileToString (base/file.h), timed as the io_read stage
 /// and counted as files_read, or as documents_failed when the open or
-/// read fails. IngestEngine's sequential AddFile and
-/// ParallelDtdInferrer's workers both read files here, so `--stats`
-/// reports the same failures and io_read spans at every `--jobs` value.
+/// read fails. IngestEngine reads every file here, inline at jobs=1 and
+/// on its workers otherwise, so `--stats` reports the same failures and
+/// io_read spans at every `--jobs` value.
 Result<std::string> ReadDocument(const std::string& path);
 
 /// An owned document buffer: the bytes of one file (read whole through

@@ -40,7 +40,6 @@ constexpr std::array<std::string_view, static_cast<size_t>(Gauge::kNumGauges)>
         "jobs",
         "dedup_cache_peak",
         "shard_docs_max",
-        "batch_docs",
         "arena_bytes_peak",
         "dedup_cache_bytes_peak",
         "corpora_open",

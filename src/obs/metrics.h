@@ -73,9 +73,9 @@ enum class SchedCounter : int {
   kWeightedFoldOps,     ///< weighted folds applied at flush
   kShardMerges,         ///< shard stores merged at the barrier
   kSummaryMerges,       ///< per-element summaries merged
-  kWorkerExceptions,    ///< exceptions contained by the worker pool
-  kBatchesDispatched,   ///< work batches published by the producer
-  kBatchSteals,         ///< batches claimed from the work-stealing deque
+  kWorkerExceptions,    ///< exceptions contained by the ingestion step
+  kBatchesDispatched,   ///< work batches queued by the producer
+  kBatchSteals,         ///< batches claimed from the queue by a worker
   kDedupProbeSteps,     ///< flat dedup-cache probe-loop iterations
   kDenseFoldHits,       ///< summary folds taken through the dense kernels
   kDenseFoldFallbacks,  ///< summary folds above the dense-ID window
@@ -96,7 +96,6 @@ enum class Gauge : int {
   kJobs = 0,           ///< configured thread count (set)
   kDedupCachePeak,     ///< max distinct words resident in one cache (max)
   kShardDocsMax,       ///< most documents ingested by one shard (max)
-  kBatchDocs,          ///< configured scheduler batch size (set)
   kArenaBytesPeak,     ///< max bump-arena footprint observed (max)
   kDedupCacheBytesPeak,  ///< max dedup-cache resident bytes in one shard (max)
   kCorporaOpen,        ///< live corpora in the serve registry (set)

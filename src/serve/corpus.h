@@ -73,8 +73,6 @@ class Corpus {
     int64_t compact_journal_bytes = 0;
     /// Refuse ingestion once ApproxBytes() exceeds this (0 = uncapped).
     int64_t max_corpus_bytes = 0;
-    /// IngestEngine jobs for journal replay at open.
-    int replay_jobs = 1;
   };
 
   /// Opens (and, when `options.data_dir` holds prior state, recovers)

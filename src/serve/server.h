@@ -51,7 +51,7 @@ struct ServerOptions {
   /// Test seam for the eviction clock (CorpusRegistry::Options).
   std::function<int64_t()> clock_ns;
   /// Per-corpus configuration (inference options, data_dir durability,
-  /// snapshot cadence, memory cap, replay jobs).
+  /// snapshot cadence, memory cap).
   Corpus::Options corpus;
 };
 

@@ -247,6 +247,20 @@ TEST_F(CliTest, NoMmapIsAnUnknownFlag) {
       << result.output;
 }
 
+TEST_F(CliTest, RemovedSchedulerFlagsAreUnknown) {
+  // The batch size is a constant of the engine and journal replay
+  // always folds inline; neither is a flag any more. (serve without a
+  // listener also exits 2, so the message is what tells them apart.)
+  for (const std::string& args :
+       {"infer --batch-docs=8 " + xml1_,
+        std::string("serve --replay-jobs=2")}) {
+    CommandResult result = RunCli(args);
+    EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
+    EXPECT_NE(result.output.find("unknown flag"), std::string::npos)
+        << args << "\n" << result.output;
+  }
+}
+
 TEST_F(CliTest, HugeSparseFileIsAnErrorNotAnAbort) {
   // A 1 TiB sparse file (no data written) is more than any buffer can
   // hold: infer must report it as a failed document and exit 1 at every

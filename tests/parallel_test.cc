@@ -1,15 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <new>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/rng.h"
-#include "base/ws_deque.h"
 #include "crx/crx.h"
 #include "automaton/soa.h"
 #include "automaton/two_t_inf.h"
@@ -18,7 +15,6 @@
 #include "gen/xml_gen.h"
 #include "infer/engine.h"
 #include "infer/inferrer.h"
-#include "infer/parallel.h"
 #include "tests/testing.h"
 
 namespace condtd {
@@ -172,13 +168,25 @@ std::string SequentialDtd(const std::vector<std::string>& documents) {
   return WriteDtd(dtd.value(), *inferrer.alphabet());
 }
 
-std::string ParallelDtd(const std::vector<std::string>& documents,
-                        int num_threads) {
-  ParallelDtdInferrer inferrer(InferenceOptions{}, num_threads);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Result<Dtd> dtd = inferrer.InferDtd();
+IngestEngine::Options JobsOptions(int jobs) {
+  IngestEngine::Options options;
+  options.jobs = jobs;
+  return options;
+}
+
+std::string EngineDtd(IngestEngine* engine) {
+  Result<Dtd> dtd = engine->inferrer().InferDtd(engine->infer_threads());
   EXPECT_TRUE(dtd.ok()) << dtd.status().ToString();
-  return WriteDtd(dtd.value(), *inferrer.merged()->alphabet());
+  return WriteDtd(dtd.value(), *engine->inferrer().alphabet());
+}
+
+std::string ParallelDtd(const std::vector<std::string>& documents,
+                        int jobs) {
+  IngestEngine engine(JobsOptions(jobs));
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return EngineDtd(&engine);
 }
 
 // --- determinism ----------------------------------------------------------
@@ -223,16 +231,16 @@ TEST(ParallelInferrer, ReportsParseErrorsByDocumentIndex) {
   std::vector<std::string> documents = GenerateCorpus(20, 5);
   documents[7] = "<broken><unclosed></broken>";
   documents[13] = "not xml at all";
-  ParallelDtdInferrer inferrer(InferenceOptions{}, 3);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Status status = inferrer.Finish();
+  IngestEngine engine(JobsOptions(3));
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
   EXPECT_FALSE(status.ok());
-  ASSERT_EQ(inferrer.errors().size(), 2u);
-  EXPECT_EQ(inferrer.errors()[0].doc_index, 7);
-  EXPECT_EQ(inferrer.errors()[1].doc_index, 13);
+  ASSERT_EQ(engine.errors().size(), 2u);
+  EXPECT_EQ(engine.errors()[0].doc_index, 7);
+  EXPECT_EQ(engine.errors()[1].doc_index, 13);
   // The merged state still holds every clean document.
-  EXPECT_EQ(inferrer.merged()->WordCount(
-                inferrer.merged()->alphabet()->Find("feed")),
+  EXPECT_EQ(engine.inferrer().WordCount(
+                engine.inferrer().alphabet()->Find("feed")),
             18);
 }
 
@@ -241,14 +249,14 @@ TEST(ParallelInferrer, AggregatesAllDocumentErrors) {
   documents[2] = "<broken><unclosed></broken>";
   documents[5] = "not xml at all";
   documents[9] = "<feed><entry></feed>";
-  ParallelDtdInferrer inferrer(InferenceOptions{}, 4);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Status status = inferrer.Finish();
+  IngestEngine engine(JobsOptions(4));
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
   EXPECT_FALSE(status.ok());
-  ASSERT_EQ(inferrer.errors().size(), 3u);
-  EXPECT_EQ(inferrer.errors()[0].doc_index, 2);
-  EXPECT_EQ(inferrer.errors()[1].doc_index, 5);
-  EXPECT_EQ(inferrer.errors()[2].doc_index, 9);
+  ASSERT_EQ(engine.errors().size(), 3u);
+  EXPECT_EQ(engine.errors()[0].doc_index, 2);
+  EXPECT_EQ(engine.errors()[1].doc_index, 5);
+  EXPECT_EQ(engine.errors()[2].doc_index, 9);
   // The aggregate status names the failure count and the first failing
   // document, not just the front error's message.
   EXPECT_NE(status.message().find("3 documents failed"), std::string::npos)
@@ -256,18 +264,18 @@ TEST(ParallelInferrer, AggregatesAllDocumentErrors) {
   EXPECT_NE(status.message().find("document 2"), std::string::npos)
       << status.ToString();
   // Finish is idempotent and keeps reporting the same aggregate.
-  EXPECT_EQ(inferrer.Finish().message(), status.message());
+  EXPECT_EQ(engine.Finish().message(), status.message());
 }
 
 TEST(ParallelInferrer, SingleFailureKeepsThatDocumentsStatus) {
   std::vector<std::string> documents = GenerateCorpus(8, 10);
   documents[3] = "not xml at all";
-  ParallelDtdInferrer inferrer(InferenceOptions{}, 3);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Status status = inferrer.Finish();
+  IngestEngine engine(JobsOptions(3));
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
   EXPECT_FALSE(status.ok());
-  ASSERT_EQ(inferrer.errors().size(), 1u);
-  EXPECT_EQ(status.message(), inferrer.errors().front().status.message());
+  ASSERT_EQ(engine.errors().size(), 1u);
+  EXPECT_EQ(status.message(), engine.errors().front().status.message());
   EXPECT_EQ(status.message().find("documents failed"), std::string::npos)
       << status.ToString();
 }
@@ -275,16 +283,11 @@ TEST(ParallelInferrer, SingleFailureKeepsThatDocumentsStatus) {
 TEST(ParallelInferrer, EveryIngesterReportsTheSameAggregate) {
   const std::vector<std::string> documents = {
       "<broken><unclosed></broken>", "<feed/>", "not xml at all"};
-  ParallelDtdInferrer parallel(InferenceOptions{}, 2);
-  for (const std::string& doc : documents) parallel.AddXml(doc);
-  const std::string expected = parallel.Finish().ToString();
-  EXPECT_EQ(expected,
-            "ParseError: 2 documents failed to ingest (first: document 0: "
-            "mismatched closing tag </broken>; expected </unclosed>)");
+  const std::string expected =
+      "ParseError: 2 documents failed to ingest (first: document 0: "
+      "mismatched closing tag </broken>; expected </unclosed>)";
   for (int jobs : {1, 2}) {
-    IngestEngine::Options options;
-    options.jobs = jobs;
-    IngestEngine engine(options);
+    IngestEngine engine(JobsOptions(jobs));
     for (const std::string& doc : documents) engine.AddXml(doc);
     EXPECT_EQ(engine.Finish().ToString(), expected) << "jobs=" << jobs;
   }
@@ -293,37 +296,70 @@ TEST(ParallelInferrer, EveryIngesterReportsTheSameAggregate) {
 /// Installs a throwing ingest fault for the test's duration; the
 /// destructor uninstalls it even when an assertion fails first.
 struct ScopedIngestFault {
-  explicit ScopedIngestFault(ParallelDtdInferrer::IngestFault fault) {
-    ParallelDtdInferrer::SetIngestFaultForTest(fault);
+  explicit ScopedIngestFault(IngestEngine::IngestFault fault) {
+    IngestEngine::SetIngestFaultForTest(fault);
   }
-  ~ScopedIngestFault() {
-    ParallelDtdInferrer::SetIngestFaultForTest(nullptr);
-  }
+  ~ScopedIngestFault() { IngestEngine::SetIngestFaultForTest(nullptr); }
 };
+
+/// Documents 5 and 11 throw mid-ingestion.
+void ThrowOnDocuments5And11(int64_t doc_index) {
+  if (doc_index == 5) throw std::bad_alloc();
+  if (doc_index == 11) throw std::length_error("simulated oversize");
+}
 
 TEST(ParallelInferrer, SurvivesWorkerExceptions) {
   std::vector<std::string> documents = GenerateCorpus(20, 77);
-  // Without the worker pool's containment these would escape the thread
+  // Without the containment these would escape the worker's thread
   // entry point and std::terminate the whole process.
-  ScopedIngestFault fault(+[](int64_t doc_index) {
-    if (doc_index == 5) throw std::bad_alloc();
-    if (doc_index == 11) throw std::length_error("simulated oversize");
-  });
-  ParallelDtdInferrer inferrer(InferenceOptions{}, 3);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Status status = inferrer.Finish();
+  ScopedIngestFault fault(&ThrowOnDocuments5And11);
+  IngestEngine engine(JobsOptions(3));
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
   EXPECT_FALSE(status.ok());
-  ASSERT_EQ(inferrer.errors().size(), 2u);
-  EXPECT_EQ(inferrer.errors()[0].doc_index, 5);
-  EXPECT_EQ(inferrer.errors()[1].doc_index, 11);
-  EXPECT_EQ(inferrer.errors()[0].status.code(), StatusCode::kInternal);
-  EXPECT_NE(inferrer.errors()[1].status.message().find("simulated oversize"),
+  ASSERT_EQ(engine.errors().size(), 2u);
+  EXPECT_EQ(engine.errors()[0].doc_index, 5);
+  EXPECT_EQ(engine.errors()[1].doc_index, 11);
+  EXPECT_EQ(engine.errors()[0].status.code(), StatusCode::kInternal);
+  EXPECT_NE(engine.errors()[1].status.message().find("simulated oversize"),
             std::string::npos)
-      << inferrer.errors()[1].status.ToString();
+      << engine.errors()[1].status.ToString();
   // Every other document folded; the failed ones contributed nothing.
-  EXPECT_EQ(inferrer.merged()->WordCount(
-                inferrer.merged()->alphabet()->Find("feed")),
+  EXPECT_EQ(engine.inferrer().WordCount(
+                engine.inferrer().alphabet()->Find("feed")),
             18);
+}
+
+TEST(ParallelInferrer, InlineFoldContainsExceptionsLikeTheWorkers) {
+  // jobs=1 folds on the caller's thread; an exception there must become
+  // the same DocumentError as on a worker instead of escaping to a
+  // caller that does not catch it (the CLI, daemon recovery).
+  std::vector<std::string> documents = GenerateCorpus(20, 77);
+  std::vector<std::string> survivors;
+  for (size_t i = 0; i < documents.size(); ++i) {
+    if (i != 5 && i != 11) survivors.push_back(documents[i]);
+  }
+  const std::string expected_dtd = SequentialDtd(survivors);
+  ScopedIngestFault fault(&ThrowOnDocuments5And11);
+  std::vector<std::string> errors_by_jobs;
+  for (int jobs : {1, 3}) {
+    IngestEngine engine(JobsOptions(jobs));
+    for (const std::string& doc : documents) engine.AddXml(doc);
+    EXPECT_FALSE(engine.Finish().ok()) << "jobs=" << jobs;
+    std::string errors;
+    for (const IngestEngine::DocumentError& error : engine.errors()) {
+      errors += std::to_string(error.doc_index) + ": " +
+                error.status.ToString() + "\n";
+    }
+    errors_by_jobs.push_back(errors);
+    EXPECT_EQ(EngineDtd(&engine), expected_dtd) << "jobs=" << jobs;
+  }
+  EXPECT_EQ(errors_by_jobs[0],
+            "5: Internal: exception while ingesting document: "
+            "std::bad_alloc\n"
+            "11: Internal: exception while ingesting document: "
+            "simulated oversize\n");
+  EXPECT_EQ(errors_by_jobs[1], errors_by_jobs[0]);
 }
 
 TEST(ParallelInferrer, WorkerExceptionsDoNotPerturbSurvivingDocuments) {
@@ -338,16 +374,12 @@ TEST(ParallelInferrer, WorkerExceptionsDoNotPerturbSurvivingDocuments) {
   ScopedIngestFault fault(+[](int64_t doc_index) {
     if (doc_index % 10 == 7) throw std::runtime_error("injected");
   });
-  for (int shards : {2, 5}) {
-    ParallelDtdInferrer inferrer(InferenceOptions{}, shards);
-    for (const std::string& doc : documents) inferrer.AddXml(doc);
-    EXPECT_FALSE(inferrer.Finish().ok());
-    EXPECT_EQ(inferrer.errors().size(), 6u);
-    Result<Dtd> dtd = inferrer.merged()->InferDtd();
-    ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
-    EXPECT_EQ(WriteDtd(dtd.value(), *inferrer.merged()->alphabet()),
-              expected)
-        << "shard count " << shards;
+  for (int jobs : {1, 2, 5}) {
+    IngestEngine engine(JobsOptions(jobs));
+    for (const std::string& doc : documents) engine.AddXml(doc);
+    EXPECT_FALSE(engine.Finish().ok());
+    EXPECT_EQ(engine.errors().size(), 6u);
+    EXPECT_EQ(EngineDtd(&engine), expected) << "jobs " << jobs;
   }
 }
 
@@ -393,125 +425,143 @@ TEST(InferrerMerge, MergeMatchesLoadStateMerge) {
 
 // --- batch scheduler ------------------------------------------------------
 
-std::string BatchedDtd(const std::vector<std::string>& documents,
-                       int num_threads, int batch_docs, bool borrowed) {
-  InferenceOptions options;
-  options.batch_docs = batch_docs;
-  ParallelDtdInferrer inferrer(options, num_threads);
-  for (const std::string& doc : documents) {
-    if (borrowed) {
-      inferrer.AddBorrowedXml(doc);
+/// Corpus sizes around the engine's 32-document batch: a lone document,
+/// one short of a batch, exactly one, one over, and several batches.
+constexpr int kCorpusSizes[] = {1, 31, 32, 33, 120};
+
+/// SaveState reduced to what it says about the summaries: each
+/// element section's lines sorted, so two states compare equal when they
+/// hold the same states, edges, supports and counts, whatever order each
+/// shard's SOA first saw its states in. Text sample lines are kept apart
+/// (also sorted per section), with the most samples one element kept.
+struct CanonicalState {
+  std::string summaries;
+  std::string samples;
+  int max_samples_per_element = 0;
+};
+
+CanonicalState Canonical(const std::string& state) {
+  CanonicalState canonical;
+  std::vector<std::string> lines;
+  std::vector<std::string> samples;
+  auto close_section = [&] {
+    std::sort(lines.begin(), lines.end());
+    std::sort(samples.begin(), samples.end());
+    for (const std::string& line : lines) canonical.summaries += line;
+    canonical.samples += "--\n";
+    for (const std::string& line : samples) canonical.samples += line;
+    canonical.max_samples_per_element = std::max(
+        canonical.max_samples_per_element, static_cast<int>(samples.size()));
+    lines.clear();
+    samples.clear();
+  };
+  size_t start = 0;
+  while (start < state.size()) {
+    size_t end = state.find('\n', start) + 1;
+    std::string line = state.substr(start, end - start);
+    if (line.rfind("element ", 0) == 0) {
+      close_section();
+      canonical.summaries += line;
+    } else if (line.rfind("text ", 0) == 0) {
+      samples.push_back(line);
     } else {
-      inferrer.AddXml(doc);
+      lines.push_back(line);
     }
+    start = end;
   }
-  Result<Dtd> dtd = inferrer.InferDtd();
-  EXPECT_TRUE(dtd.ok()) << dtd.status().ToString();
-  return WriteDtd(dtd.value(), *inferrer.merged()->alphabet());
+  close_section();
+  return canonical;
 }
 
-TEST(BatchScheduler, BatchSizeNeverChangesTheDtd) {
-  // The batch size only decides hand-off granularity; any value must
-  // reproduce the sequential DTD byte for byte at any thread count,
-  // including batch=1 (per-document dispatch, the old scheduler's
-  // behavior) and a batch larger than the whole corpus (single batch,
-  // zero stealing opportunities).
-  std::vector<std::string> documents = GenerateCorpus(120, 60221023);
-  std::string expected = SequentialDtd(documents);
-  for (int jobs : {1, 2, 7}) {
-    for (int batch : {1, 32, 1000}) {
-      EXPECT_EQ(BatchedDtd(documents, jobs, batch, /*borrowed=*/false),
-                expected)
-          << "jobs " << jobs << " batch " << batch;
-    }
+std::string SequentialState(const std::vector<std::string>& documents) {
+  DtdInferrer inferrer;
+  for (const std::string& doc : documents) {
+    EXPECT_TRUE(inferrer.AddXml(doc).ok());
   }
+  return inferrer.SaveState();
 }
 
-TEST(BatchScheduler, BorrowedSubmissionMatchesCopiedSubmission) {
-  // AddBorrowedXml skips the arena copy; the result must be identical.
-  std::vector<std::string> documents = GenerateCorpus(90, 17);
-  std::string copied = BatchedDtd(documents, 3, 8, /*borrowed=*/false);
-  std::string borrowed = BatchedDtd(documents, 3, 8, /*borrowed=*/true);
-  EXPECT_EQ(copied, borrowed);
+TEST(BatchScheduler, CorpusSizeNeverChangesTheContract) {
+  // Batch boundaries only decide hand-off granularity: a partial last
+  // batch, an exact batch and a lone document must all reproduce the
+  // sequential DTD byte for byte at every job count. jobs=1 folds
+  // inline, so its SaveState is byte-identical to the sequential fold's.
+  // Sharded states hold the same summaries, but not the same bytes: a
+  // merged SOA lists its states in the order the shards delivered them,
+  // and once an element reaches max_text_samples which samples it keeps
+  // depends on the shard layout (IngestEngine's class comment). So they
+  // are compared canonically, samples only below the cap, and must
+  // reload to the same DTD.
+  std::vector<std::string> corpus = GenerateCorpus(120, 60221023);
+  const int cap = InferenceOptions{}.max_text_samples;
+  for (int size : kCorpusSizes) {
+    std::vector<std::string> documents(corpus.begin(), corpus.begin() + size);
+    const std::string expected = SequentialDtd(documents);
+    const std::string sequential_state = SequentialState(documents);
+    const CanonicalState sequential = Canonical(sequential_state);
+    for (int jobs : {1, 2, 7}) {
+      IngestEngine engine(JobsOptions(jobs));
+      for (const std::string& doc : documents) engine.AddXml(doc);
+      ASSERT_TRUE(engine.Finish().ok());
+      EXPECT_EQ(EngineDtd(&engine), expected)
+          << "size " << size << " jobs " << jobs;
+      const std::string state = engine.inferrer().SaveState();
+      if (jobs == 1) {
+        EXPECT_EQ(state, sequential_state) << "size " << size;
+      }
+      CanonicalState canonical = Canonical(state);
+      EXPECT_EQ(canonical.summaries, sequential.summaries)
+          << "size " << size << " jobs " << jobs;
+      if (sequential.max_samples_per_element < cap) {
+        EXPECT_EQ(canonical.samples, sequential.samples)
+            << "size " << size << " jobs " << jobs;
+      }
+      DtdInferrer reloaded;
+      ASSERT_TRUE(reloaded.LoadState(state).ok());
+      Result<Dtd> dtd = reloaded.InferDtd();
+      ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+      EXPECT_EQ(WriteDtd(dtd.value(), *reloaded.alphabet()), expected)
+          << "size " << size << " jobs " << jobs;
+    }
+  }
 }
 
 TEST(BatchScheduler, ErrorIndicesSurviveBatching) {
   // Document indices in error reports are assigned at submission, so
-  // they must be stable however documents land in batches and shards.
-  std::vector<std::string> documents = GenerateCorpus(40, 5);
-  documents[7] = "<broken><unclosed></broken>";
-  documents[31] = "not xml at all";
-  for (int batch : {1, 4, 64}) {
-    InferenceOptions options;
-    options.batch_docs = batch;
-    ParallelDtdInferrer inferrer(options, 3);
-    for (const std::string& doc : documents) inferrer.AddXml(doc);
-    EXPECT_FALSE(inferrer.Finish().ok());
-    ASSERT_EQ(inferrer.errors().size(), 2u) << "batch " << batch;
-    EXPECT_EQ(inferrer.errors()[0].doc_index, 7);
-    EXPECT_EQ(inferrer.errors()[1].doc_index, 31);
-  }
-}
-
-TEST(WorkStealingDequeTest, SingleThreadPushSteal) {
-  WorkStealingDeque<int*> deque;
-  EXPECT_TRUE(deque.Empty());
-  EXPECT_EQ(deque.Steal(), nullptr);
-  std::vector<int> values(100);
-  for (int i = 0; i < 100; ++i) {
-    values[i] = i;
-    deque.Push(&values[i]);  // forces several ring growths (initial 64)
-  }
-  EXPECT_FALSE(deque.Empty());
-  for (int i = 0; i < 100; ++i) {
-    int* item = deque.Steal();
-    ASSERT_NE(item, nullptr);
-    EXPECT_EQ(*item, i);  // steals drain FIFO from the top
-  }
-  EXPECT_TRUE(deque.Empty());
-  EXPECT_EQ(deque.Steal(), nullptr);
-}
-
-TEST(WorkStealingDequeTest, ConcurrentThievesClaimEachItemOnce) {
-  // One producer, several thieves hammering Steal — under the TSan lane
-  // this exercises the acquire/release protocol; everywhere it checks
-  // that every pushed item is claimed exactly once.
-  constexpr int kItems = 20000;
-  constexpr int kThieves = 4;
-  WorkStealingDeque<int*> deque;
-  std::vector<int> values(kItems);
-  std::vector<std::atomic<int>> claimed(kItems);
-  for (auto& c : claimed) c.store(0, std::memory_order_relaxed);
-  std::atomic<bool> done{false};
-  std::atomic<int> total{0};
-
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      for (;;) {
-        int* item = deque.Steal();
-        if (item == nullptr) {
-          if (done.load(std::memory_order_acquire) && deque.Empty()) return;
-          std::this_thread::yield();
-          continue;
-        }
-        claimed[item - values.data()].fetch_add(1,
-                                                std::memory_order_relaxed);
-        total.fetch_add(1, std::memory_order_relaxed);
+  // they must be stable however documents land in batches and shards:
+  // the first document, both sides of the first batch boundary and the
+  // last document fail.
+  std::vector<std::string> corpus = GenerateCorpus(120, 5);
+  for (int size : kCorpusSizes) {
+    std::vector<std::string> documents(corpus.begin(), corpus.begin() + size);
+    std::vector<int64_t> broken;
+    for (int index : {0, 7, 31, 32, size - 1}) {
+      if (index < size &&
+          std::find(broken.begin(), broken.end(), index) == broken.end()) {
+        broken.push_back(index);
       }
-    });
+    }
+    for (int64_t index : broken) documents[index] = "not xml at all";
+    for (int jobs : {1, 2, 7}) {
+      IngestEngine engine(JobsOptions(jobs));
+      for (const std::string& doc : documents) engine.AddXml(doc);
+      EXPECT_FALSE(engine.Finish().ok());
+      ASSERT_EQ(engine.errors().size(), broken.size())
+          << "size " << size << " jobs " << jobs;
+      for (size_t i = 0; i < broken.size(); ++i) {
+        EXPECT_EQ(engine.errors()[i].doc_index, broken[i])
+            << "size " << size << " jobs " << jobs;
+      }
+    }
   }
-  for (int i = 0; i < kItems; ++i) {
-    values[i] = i;
-    deque.Push(&values[i]);
-  }
-  done.store(true, std::memory_order_release);
-  for (std::thread& thief : thieves) thief.join();
+}
 
-  EXPECT_EQ(total.load(), kItems);
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_EQ(claimed[i].load(), 1) << "item " << i;
-  }
+TEST(BatchScheduler, DestroyingAnUnfinishedEngineJoinsItsWorkers) {
+  // An engine dropped before Finish (an early return in a caller) must
+  // drain its queue and join its workers, not leak or abort them.
+  std::vector<std::string> documents = GenerateCorpus(70, 8);
+  IngestEngine engine(JobsOptions(3));
+  for (const std::string& doc : documents) engine.AddXml(doc);
 }
 
 }  // namespace

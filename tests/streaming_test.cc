@@ -10,8 +10,8 @@
 #include "dtd/dtd_parser.h"
 #include "dtd/dtd_writer.h"
 #include "gen/xml_gen.h"
+#include "infer/engine.h"
 #include "infer/inferrer.h"
-#include "infer/parallel.h"
 #include "infer/streaming.h"
 #include "tests/testing.h"
 #include "xml/sax.h"
@@ -182,13 +182,22 @@ std::string StreamingDtd(const std::vector<std::string>& documents,
   return WriteDtd(dtd.value(), *inferrer.alphabet());
 }
 
+IngestEngine::Options EngineOptions(int jobs, InferenceOptions options) {
+  IngestEngine::Options engine_options;
+  engine_options.inference = options;
+  engine_options.jobs = jobs;
+  return engine_options;
+}
+
 std::string ParallelDtd(const std::vector<std::string>& documents,
-                        int num_threads, InferenceOptions options = {}) {
-  ParallelDtdInferrer inferrer(options, num_threads);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Result<Dtd> dtd = inferrer.InferDtd();
+                        int jobs, InferenceOptions options = {}) {
+  IngestEngine engine(EngineOptions(jobs, options));
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  Result<Dtd> dtd = engine.inferrer().InferDtd(engine.infer_threads());
   EXPECT_TRUE(dtd.ok()) << dtd.status().ToString();
-  return WriteDtd(dtd.value(), *inferrer.merged()->alphabet());
+  return WriteDtd(dtd.value(), *engine.inferrer().alphabet());
 }
 
 /// The tentpole contract: DOM, streaming (dedup on and off, per-call and
@@ -301,9 +310,9 @@ TEST(StreamingErrors, NestingCapIsTheSameOnEveryPath) {
     EXPECT_EQ(folder.AddXml(too_deep).ToString(), expected.ToString())
         << "lenient=" << lenient;
     for (int jobs : {1, 2}) {
-      ParallelDtdInferrer parallel(options, jobs);
-      parallel.AddXml(too_deep);
-      EXPECT_EQ(parallel.Finish().ToString(), expected.ToString())
+      IngestEngine engine(EngineOptions(jobs, options));
+      engine.AddXml(too_deep);
+      EXPECT_EQ(engine.Finish().ToString(), expected.ToString())
           << "lenient=" << lenient << ", jobs=" << jobs;
     }
   }
@@ -333,15 +342,15 @@ TEST(StreamingErrors, ParallelStreamingKeepsErrorReporting) {
   std::vector<std::string> documents = GenerateCorpus(20, 5);
   documents[7] = "<broken><unclosed></broken>";
   documents[13] = "not xml at all";
-  ParallelDtdInferrer inferrer(InferenceOptions{}, 3);
-  for (const std::string& doc : documents) inferrer.AddXml(doc);
-  Status status = inferrer.Finish();
+  IngestEngine engine(EngineOptions(3, InferenceOptions{}));
+  for (const std::string& doc : documents) engine.AddXml(doc);
+  Status status = engine.Finish();
   EXPECT_FALSE(status.ok());
-  ASSERT_EQ(inferrer.errors().size(), 2u);
-  EXPECT_EQ(inferrer.errors()[0].doc_index, 7);
-  EXPECT_EQ(inferrer.errors()[1].doc_index, 13);
-  EXPECT_EQ(inferrer.merged()->WordCount(
-                inferrer.merged()->alphabet()->Find("feed")),
+  ASSERT_EQ(engine.errors().size(), 2u);
+  EXPECT_EQ(engine.errors()[0].doc_index, 7);
+  EXPECT_EQ(engine.errors()[1].doc_index, 13);
+  EXPECT_EQ(engine.inferrer().WordCount(
+                engine.inferrer().alphabet()->Find("feed")),
             18);
 }
 

@@ -7,9 +7,9 @@
 //                             rewrite, and the Section 8 baselines
 //                             trang and xtract)
 //       --noise=N             support threshold for noisy data
-//       --jobs=N              ingest and infer on N threads (sharded
-//                             pipeline; output identical to N=1;
-//                             0 = hardware concurrency)
+//       --jobs=N              ingest and infer on N threads (N=1
+//                             folds inline, N>1 shards; the output
+//                             is identical at any N)
 //       --out=FILE            write the schema to FILE instead of stdout
 //       --state-in=FILE       resume from a saved summary state
 //       --state-out=FILE      save the summary state after folding
@@ -83,7 +83,6 @@ int Usage() {
       "usage:\n"
       "  condtd infer [--xsd] [--algorithm=%s]\n"
       "               [--noise=N] [--jobs=N] [--max-strings=N]\n"
-      "               [--batch-docs=N]\n"
       "               [--out=FILE] [--stats[=json|text]]\n"
       "               [--state-in=FILE] [--state-out=FILE] file.xml...\n"
       "  condtd validate [--schema=file.dtd] file.xml...\n"
@@ -95,7 +94,7 @@ int Usage() {
       "  condtd diff left.dtd right.dtd   (exit 0 iff language-equal)\n"
       "  condtd serve (--socket=PATH | --port=N) [--data-dir=DIR]\n"
       "               [--workers=N] [--snapshot-every=N] [--no-fsync]\n"
-      "               [--max-corpus-bytes=N] [--replay-jobs=N]\n"
+      "               [--max-corpus-bytes=N]\n"
       "               [--compact-journal-bytes=N] [--corpus-ttl=SECONDS]\n"
       "               [--max-corpora=N] [--max-inline-bytes=N]\n"
       "               [--http-port=N] [--http-host=HOST]\n"
@@ -160,10 +159,6 @@ int RunInfer(const std::vector<std::string>& args) {
       emit_xsd = true;
     } else if (arg == "--lenient") {
       options.lenient_xml = true;
-    } else if (GetFlag(arg, "batch-docs", &value)) {
-      if (!ParseCountFlag("batch-docs", value, 1, &options.batch_docs)) {
-        return 2;
-      }
     } else if (arg == "--stats") {
       stats.mode = StatsReporter::Mode::kText;
     } else if (GetFlag(arg, "stats", &value)) {
@@ -223,10 +218,9 @@ int RunInfer(const std::vector<std::string>& args) {
     obs::GaugeSet(obs::Gauge::kJobs, jobs);
   }
 
-  // One ingestion engine for every job count: --jobs=1 folds
-  // sequentially, anything else runs the sharded pipeline. The inferred
-  // schema is byte-identical either way, so the flag is purely about
-  // throughput.
+  // One ingestion engine for every job count: --jobs=1 folds inline,
+  // anything else runs the sharded pipeline. The inferred schema is
+  // byte-identical either way, so the flag is purely about throughput.
   IngestEngine::Options engine_options;
   engine_options.inference = options;
   engine_options.jobs = jobs;
@@ -658,11 +652,6 @@ int RunServe(const std::vector<std::string>& args) {
       options.corpus.data_dir = value;
     } else if (GetFlag(arg, "workers", &value)) {
       if (!ParseCountFlag("workers", value, 1, &options.workers)) return 2;
-    } else if (GetFlag(arg, "replay-jobs", &value)) {
-      if (!ParseCountFlag("replay-jobs", value, 1,
-                          &options.corpus.replay_jobs)) {
-        return 2;
-      }
     } else if (arg == "--no-fsync") {
       options.corpus.fsync_journal = false;
     } else if (GetFlag(arg, "snapshot-every", &value)) {
